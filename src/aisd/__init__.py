@@ -24,14 +24,13 @@ from .scenarios import (
     synthesize_scenario,
 )
 from .tissue import (
-    Cell,
     Compartment,
     CycleReport,
     ResponseRecord,
     TissueParams,
     create_compartment,
 )
-from .twocell import TwocellParams, attach_twocell, make_twocell_population
+from .twocell import TwocellParams, attach_twocell
 from .policy import (
     EvaluationRow,
     SyscallPolicy,

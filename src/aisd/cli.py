@@ -17,17 +17,13 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .harness import (
-    load_params_file,
-    read_plan,
-    run_experiment,
-    run_offline,
-)
+from .harness import read_plan, run_experiment, run_offline
 from .policy import evaluate, read_policy
 from .scenarios import BUNDLED_PROFILES, synthesize_scenario
-from .tissue import TissueParams, create_compartment, parse_kv_text
+from .tissue import create_compartment, parse_kv_text, tissue_params_from_kv
 from .trace_model import dataset_stats, read_replay_log, write_replay_log
-from .twocell import TwocellParams, attach_twocell
+from .twocell import attach_twocell
+from .twocell import params_from_kv as twocell_params_from_kv
 from .wire import DEFAULT_HOST, DEFAULT_PORT, ReplayConfig, TissueServer, replay
 
 
@@ -68,12 +64,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.params:
-        kv = parse_kv_text(Path(args.params).read_text(encoding="utf-8"))
-        tissue_params, twocell_params = load_params_file(args.params)
-    else:
-        kv = {}
-        tissue_params, twocell_params = TissueParams(), TwocellParams()
+    kv = parse_kv_text(Path(args.params).read_text(encoding="utf-8")) if args.params else {}
+    tissue_params, twocell_params = tissue_params_from_kv(kv), twocell_params_from_kv(kv)
     seed = args.seed if args.seed is not None else int(kv.get("seed", 0))
     compartment = create_compartment(tissue_params, seed)
     attach_twocell(compartment, twocell_params)

@@ -1,10 +1,11 @@
-"""The tissue compartment: antigen store, signal array and a cycling cell
+"""The tissue compartment: antigen store, signal array and the two-cell
 population.
 
-The compartment is generic machinery: it knows nothing about what cells do.
-Algorithms register a cycle callback per cell type; each cycle runs every
-cell's callback exactly once in a seeded-random order, so repeated runs with
-the same seed and the same scripted inputs are bit-identical.
+The population is a ``twocell.TwoCellState`` that ``attach_twocell`` puts on
+the compartment.  Each cycle runs every cell exactly once, Type 1 cells
+through ``twocell.type1_cycle`` and Type 2 cells through
+``twocell.type2_cycle``, in a seeded-random order, so repeated runs with the
+same seed and the same scripted inputs are bit-identical.
 
 External writers (wire sessions) may add antigen and set signals
 concurrently with a cycling thread; individual writes are atomic and become
@@ -13,55 +14,20 @@ visible no later than the start of the next cycle.
 from __future__ import annotations
 
 import csv
-import enum
 import io
 import logging
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from collections import deque
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping
 
+from . import twocell
 from .trace_model import DEFAULT_TABLE, Label, SyscallTable
 
 logger = logging.getLogger(__name__)
-
-
-class ReceptorKind(str, enum.Enum):
-    ANTIGEN = "antigen"
-    CYTOKINE = "cytokine"
-    CELL = "cell"
-    VR = "vr"
-
-
-class ProducerKind(str, enum.Enum):
-    ANTIGEN = "antigen"
-    RESPONSE = "response"
-
-
-@dataclass
-class Receptor:
-    kind: ReceptorKind
-    lock: int | None = None          # vr kind: the value it matches
-    target_signal: str | None = None  # cytokine kind: which signal it reads
-
-
-@dataclass
-class Producer:
-    kind: ProducerKind
-    key: int | None = None
-    presentation_remaining: int = 0
-
-
-@dataclass
-class Cell:
-    id: int
-    cell_type: int
-    receptors: list[Receptor] = field(default_factory=list)
-    producers: list[Producer] = field(default_factory=list)
-    cytokines: list[int] = field(default_factory=list)
-    age_cycles: int = 0
 
 
 @dataclass(frozen=True)
@@ -95,10 +61,6 @@ class TissueParams:
             raise ValueError("cycles_per_second must be positive")
 
 
-CycleCallback = Callable[[Cell, "Compartment"], None]
-CellFactory = Callable[[int, random.Random], Cell]
-
-
 class Compartment:
     """Shared environment: antigen multiset, signal levels, cell population."""
 
@@ -110,13 +72,11 @@ class Compartment:
         self.response_log: list[ResponseRecord] = []
         self.antigen_added_total = 0
         self.signals_set_total = 0
-        self._store: list[tuple[int, Label]] = []
+        self.twocell: twocell.TwoCellState | None = None
+        # bounded store: at capacity, append drops the oldest antigen
+        self._store: deque[tuple[int, Label]] = deque(maxlen=params.antigen_capacity)
         self._signals: dict[str, float] = {name: 0.0 for name in params.signals}
-        self._cells: list[Cell] = []
-        self._cells_by_type: dict[int, list[Cell]] = {}
-        self._callbacks: dict[int, CycleCallback] = {}
         self._response_listeners: list[Callable[[ResponseRecord], None]] = []
-        self._next_cell_id = 0
         self._lock = threading.RLock()
         self._realtime_start: float | None = None
         self._consumed = 0
@@ -139,8 +99,6 @@ class Compartment:
         if value < 0:
             raise ValueError(f"antigen value must be >= 0, got {value}")
         with self._lock:
-            if len(self._store) >= self.params.antigen_capacity:
-                del self._store[0]  # bounded store: overflow drops oldest
             self._store.append((value, Label(label)))
             self.antigen_added_total += 1
 
@@ -160,44 +118,21 @@ class Compartment:
     def antigen_count(self) -> int:
         return len(self._store)
 
-    # -- population --------------------------------------------------------
-
-    def register_callback(self, cell_type: int, callback: CycleCallback) -> None:
-        self._callbacks[cell_type] = callback
-
-    def populate(self, cell_factory: CellFactory, count_per_type: Mapping[int, int]) -> None:
-        """Create and add cells; ids are unique across populate calls."""
-        with self._lock:
-            for cell_type, count in count_per_type.items():
-                if count < 0:
-                    raise ValueError(f"cell count for type {cell_type} must be >= 0")
-                for _ in range(count):
-                    cell = cell_factory(cell_type, self.rng)
-                    cell.id = self._next_cell_id
-                    self._next_cell_id += 1
-                    self._cells.append(cell)
-                    self._cells_by_type.setdefault(cell.cell_type, []).append(cell)
-
-    @property
-    def cells(self) -> list[Cell]:
-        return list(self._cells)
-
-    def cells_of_type(self, cell_type: int) -> list[Cell]:
-        return self._cells_by_type.get(cell_type, [])
-
-    # -- cycle-internal operations (called from cell callbacks) ------------
+    # -- cycle-internal operations (called by the cell cycle functions) ----
 
     def draw_antigen(self) -> tuple[int, Label] | None:
         """Remove and return one antigen chosen uniformly at random."""
-        if not self._store:
+        store = self._store
+        if not store:
             return None
-        idx = self.rng.randrange(len(self._store))
-        item = self._store.pop(idx)
+        idx = self.rng.randrange(len(store))
+        item = store[idx]
+        del store[idx]
         self._consumed += 1
         return item
 
-    def emit_response(self, cell: Cell, matched_value: int) -> None:
-        record = ResponseRecord(self.cycle_count, self.wall_time(), cell.id, matched_value)
+    def emit_response(self, cell_id: int, matched_value: int) -> None:
+        record = ResponseRecord(self.cycle_count, self.wall_time(), cell_id, matched_value)
         self.response_log.append(record)
         self._emitted += 1
         for listener in self._response_listeners:
@@ -213,20 +148,25 @@ class Compartment:
     # -- the cycle ----------------------------------------------------------
 
     def cycle(self) -> CycleReport:
-        """Run every cell's callback once, in a freshly shuffled order."""
+        """Run every cell once, in a freshly shuffled order."""
         with self._lock:
             self.cycle_count += 1
             self._consumed = 0
             self._emitted = 0
-            order = list(self._cells)
-            self.rng.shuffle(order)
-            for cell in order:
-                callback = self._callbacks.get(cell.cell_type)
-                if callback is None:
-                    raise RuntimeError(
-                        f"no cycle callback registered for cell type {cell.cell_type}"
-                    )
-                callback(cell, self)
+            state = self.twocell
+            if state is not None:
+                n1 = state.n1
+                params = state.params
+                order = list(range(n1 + state.n2))
+                self.rng.shuffle(order)
+                # looked up every cycle, so rebinding the module's names takes effect
+                type1_cycle = twocell.type1_cycle
+                type2_cycle = twocell.type2_cycle
+                for cell in order:
+                    if cell < n1:
+                        type1_cycle(cell, self, params)
+                    else:
+                        type2_cycle(cell, self, params)
             return CycleReport(self._consumed, self._emitted)
 
 

@@ -5,25 +5,21 @@ antigen producers for a CPU-dependent number of cycles.  Type 2 cells bind
 Type 1 cells, compare their VR receptor locks against presented keys, and
 emit a response for every exact match; a Type 2 cell that has never matched
 re-randomizes all its locks once it outlives ``cell_lifespan`` cycles.
+
+A population is a ``TwoCellState`` of flat per-cell lists.  Cell ids are
+0..n1-1 for Type 1 cells and n1..n1+n2-1 for Type 2 cells; the compartment
+runs ``type1_cycle`` or ``type2_cycle`` once per id per cycle.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
-from .tissue import (
-    Cell,
-    Compartment,
-    Producer,
-    ProducerKind,
-    Receptor,
-    ReceptorKind,
-)
 from .trace_model import SYSCALL_RANGE
 
-TYPE1 = 1
-TYPE2 = 2
+if TYPE_CHECKING:
+    from .tissue import Compartment
 
 
 @dataclass(frozen=True)
@@ -38,7 +34,6 @@ class TwocellParams:
     min_presentation: int = 5
     max_presentation: int = 50
     bind_attempts_per_cycle: int = 3
-    seed: int = 0
 
     def __post_init__(self) -> None:
         counts = (
@@ -72,25 +67,34 @@ def presentation_period(cpu_level: float, params: TwocellParams) -> int:
     return round(params.min_presentation + cpu_level * span)
 
 
-def _cell_views(cell: Cell):
-    # cached per-cell views; receptor/producer objects never change identity
-    try:
-        return cell._views  # type: ignore[attr-defined]
-    except AttributeError:
-        views = {
-            "antigen_receptors": [r for r in cell.receptors if r.kind is ReceptorKind.ANTIGEN],
-            "cytokine": next(
-                (r for r in cell.receptors if r.kind is ReceptorKind.CYTOKINE), None
-            ),
-            "cell_receptors": [r for r in cell.receptors if r.kind is ReceptorKind.CELL],
-            "vr": [r for r in cell.receptors if r.kind is ReceptorKind.VR],
-            "antigen_producers": [p for p in cell.producers if p.kind is ProducerKind.ANTIGEN],
-        }
-        cell._views = views  # type: ignore[attr-defined]
-        return views
+class TwoCellState:
+    """Per-cell state of one population, as flat lists indexed by cell.
+
+    Type 1 cell ``i`` presents ``keys[i][j]`` on its producer ``j`` for
+    ``timers[i][j]`` more cycles; a free producer holds ``None`` and 0.
+    Type 2 cell ``n1 + k`` holds the VR locks ``locks[k]``, has emitted
+    ``matches[k]`` responses, and is ``ages[k]`` cycles past its last reset.
+    """
+
+    def __init__(self, params: TwocellParams, rng: random.Random):
+        self.params = params
+        self.n1 = params.n_type1
+        self.n2 = params.n_type2
+        # binds per Type 2 cell per cycle: one per cell receptor, within budget
+        self.binds = min(params.bind_attempts_per_cycle, params.cell_receptors_per_t2)
+        producers = params.antigen_producers_per_t1
+        self.keys: list[list[int | None]] = [[None] * producers for _ in range(self.n1)]
+        self.timers: list[list[int]] = [[0] * producers for _ in range(self.n1)]
+        # drawn cell by cell, in id order
+        self.locks: list[list[int]] = [
+            [rng.randrange(SYSCALL_RANGE) for _ in range(params.vr_receptors_per_t2)]
+            for _ in range(self.n2)
+        ]
+        self.matches = [0] * self.n2
+        self.ages = [0] * self.n2
 
 
-def type1_cycle(cell: Cell, compartment: Compartment, params: TwocellParams) -> None:
+def type1_cycle(cell: int, compartment: Compartment, params: TwocellParams) -> None:
     """Expire old presentations, then ingest and present fresh antigen.
 
     Expiry runs first so a fresh presentation survives exactly its full
@@ -98,30 +102,34 @@ def type1_cycle(cell: Cell, compartment: Compartment, params: TwocellParams) -> 
     is pass-through: a receptor only draws when a free producer exists, so
     the store shrinks by exactly the number of new presentations.
     """
-    views = _cell_views(cell)
-    producers = views["antigen_producers"]
+    state = compartment.twocell
+    keys = state.keys[cell]
+    timers = state.timers[cell]
+    for j, remaining in enumerate(timers):
+        if remaining:
+            remaining -= 1
+            timers[j] = remaining
+            if not remaining:
+                keys[j] = None  # presented antigen destroyed
 
-    for producer in producers:
-        if producer.presentation_remaining > 0:
-            producer.presentation_remaining -= 1
-            if producer.presentation_remaining == 0:
-                producer.key = None  # presented antigen destroyed
-
-    free = [p for p in producers if p.key is None]
-    if not free:
-        return
-    cytokine = views["cytokine"]
-    cpu = compartment.get_signal(cytokine.target_signal) if cytokine else 0.0
-    period = presentation_period(cpu, params)
-    for producer in free[: len(views["antigen_receptors"])]:
-        drawn = compartment.draw_antigen()
-        if drawn is None:
-            break
-        producer.key = drawn[0]
-        producer.presentation_remaining = period
+    # the period is read once per cycle, and only if something is presented
+    period = 0
+    ingest = params.antigen_receptors_per_t1
+    for j, key in enumerate(keys):
+        if key is None:
+            drawn = compartment.draw_antigen()
+            if drawn is None:
+                return
+            if not period:
+                period = presentation_period(compartment.get_signal("cpu"), params)
+            keys[j] = drawn[0]
+            timers[j] = period
+            ingest -= 1
+            if not ingest:
+                return
 
 
-def type2_cycle(cell: Cell, compartment: Compartment, params: TwocellParams) -> None:
+def type2_cycle(cell: int, compartment: Compartment, params: TwocellParams) -> None:
     """Bind Type 1 cells, respond to exact lock/key matches, maybe reset.
 
     Binding draws with replacement, one bind per cell receptor up to the
@@ -129,86 +137,33 @@ def type2_cycle(cell: Cell, compartment: Compartment, params: TwocellParams) -> 
     equality emits its own response.  Matched antigen is not consumed; it
     expires by presentation timer only.
     """
-    views = _cell_views(cell)
-    type1_cells = compartment.cells_of_type(TYPE1)
-    if type1_cells:
-        locks = [r.lock for r in views["vr"]]
-        n_binds = min(params.bind_attempts_per_cycle, len(views["cell_receptors"]))
-        rng = compartment.rng
-        for _ in range(n_binds):
-            bound = type1_cells[rng.randrange(len(type1_cells))]
-            for producer in _cell_views(bound)["antigen_producers"]:
-                key = producer.key
-                if key is None:
-                    continue
-                for lock in locks:
-                    if lock == key:
-                        compartment.emit_response(cell, key)
-                        cell.cytokines[0] += 1
+    state = compartment.twocell
+    k = cell - state.n1
+    locks = state.locks[k]
+    bound_keys = state.keys
+    randbelow = compartment.rng._randbelow  # what randrange(n) draws
+    if bound_keys:
+        n1 = len(bound_keys)
+        for _ in range(state.binds):
+            for key in bound_keys[randbelow(n1)]:
+                if key is not None and key in locks:
+                    for lock in locks:
+                        if lock == key:
+                            compartment.emit_response(cell, key)
+                            state.matches[k] += 1
 
-    cell.age_cycles += 1
-    if cell.age_cycles >= params.cell_lifespan and cell.cytokines[0] == 0:
-        for receptor in views["vr"]:
-            receptor.lock = compartment.rng.randrange(SYSCALL_RANGE)
-        cell.age_cycles = 0
-
-
-def make_cell(cell_type: int, params: TwocellParams, rng: random.Random) -> Cell:
-    """Build one cell of the requested type (id assigned by the caller)."""
-    if cell_type == TYPE1:
-        receptors = [
-            Receptor(ReceptorKind.ANTIGEN) for _ in range(params.antigen_receptors_per_t1)
-        ]
-        receptors.append(Receptor(ReceptorKind.CYTOKINE, target_signal="cpu"))
-        producers = [
-            Producer(ProducerKind.ANTIGEN) for _ in range(params.antigen_producers_per_t1)
-        ]
-        return Cell(id=-1, cell_type=TYPE1, receptors=receptors, producers=producers)
-    if cell_type == TYPE2:
-        receptors = [
-            Receptor(ReceptorKind.CELL) for _ in range(params.cell_receptors_per_t2)
-        ]
-        receptors.extend(
-            Receptor(ReceptorKind.VR, lock=rng.randrange(SYSCALL_RANGE))
-            for _ in range(params.vr_receptors_per_t2)
-        )
-        return Cell(
-            id=-1,
-            cell_type=TYPE2,
-            receptors=receptors,
-            producers=[Producer(ProducerKind.RESPONSE)],
-            cytokines=[0],
-        )
-    raise ValueError(f"unknown twocell cell type {cell_type}")
-
-
-def cell_factory(params: TwocellParams):
-    """Factory suitable for Compartment.populate."""
-
-    def factory(cell_type: int, rng: random.Random) -> Cell:
-        return make_cell(cell_type, params, rng)
-
-    return factory
-
-
-def make_twocell_population(params: TwocellParams) -> list[Cell]:
-    """Standalone population with ids 0..n-1, seeded from params.seed."""
-    rng = random.Random(params.seed)
-    cells = [make_cell(TYPE1, params, rng) for _ in range(params.n_type1)]
-    cells += [make_cell(TYPE2, params, rng) for _ in range(params.n_type2)]
-    for i, cell in enumerate(cells):
-        cell.id = i
-    return cells
+    age = state.ages[k] + 1
+    if age >= params.cell_lifespan and not state.matches[k]:
+        for j in range(len(locks)):
+            locks[j] = randbelow(SYSCALL_RANGE)
+        age = 0
+    state.ages[k] = age
 
 
 def attach_twocell(compartment: Compartment, params: TwocellParams) -> None:
-    """Register the two cycle callbacks and populate the compartment."""
-    compartment.register_callback(
-        TYPE1, lambda cell, comp: type1_cycle(cell, comp, params)
-    )
-    compartment.register_callback(
-        TYPE2, lambda cell, comp: type2_cycle(cell, comp, params)
-    )
-    compartment.populate(
-        cell_factory(params), {TYPE1: params.n_type1, TYPE2: params.n_type2}
-    )
+    """Give the compartment a fresh two-cell population."""
+    if compartment.twocell is not None:
+        raise ValueError("compartment already has a two-cell population")
+    if "cpu" not in compartment.params.signals:
+        raise ValueError("the two-cell detector needs a 'cpu' signal")
+    compartment.twocell = TwoCellState(params, compartment.rng)

@@ -11,9 +11,9 @@ from __future__ import annotations
 import random
 
 from aisd.policy import PolicyProvenance, SyscallPolicy, average_policy, evaluate
-from aisd.tissue import ProducerKind, ReceptorKind, create_compartment
+from aisd.tissue import create_compartment
 from aisd.trace_model import Label, SyscallEvent, merge_to_replay_log
-from aisd.twocell import TYPE1, TYPE2, TwocellParams, attach_twocell
+from aisd.twocell import TwocellParams, attach_twocell
 
 
 def _random_params(rng: random.Random, **overrides) -> TwocellParams:
@@ -29,23 +29,31 @@ def _random_params(rng: random.Random, **overrides) -> TwocellParams:
         min_presentation=lo,
         max_presentation=rng.randint(lo, lo + 12),
         bind_attempts_per_cycle=rng.randint(1, 4),
-        seed=rng.randrange(2**30),
     )
+    # Params once carried an unused seed; the draw stays so every check
+    # still builds the same random instances from the same stream.
+    rng.randrange(2**30)
     kwargs.update(overrides)
     return TwocellParams(**kwargs)
 
 
 def _antigen_producers(compartment):
+    """(key, presentation_remaining) of every Type 1 producer, as of now."""
+    state = compartment.twocell
     return [
-        p
-        for cell in compartment.cells_of_type(TYPE1)
-        for p in cell.producers
-        if p.kind is ProducerKind.ANTIGEN
+        slot
+        for keys, timers in zip(state.keys, state.timers)
+        for slot in zip(keys, timers)
     ]
 
 
-def _vr_locks(cell):
-    return tuple(r.lock for r in cell.receptors if r.kind is ReceptorKind.VR)
+def _type2_cells(compartment):
+    """(locks, matches, age) of every Type 2 cell, as of now."""
+    state = compartment.twocell
+    return [
+        (tuple(locks), matches, age)
+        for locks, matches, age in zip(state.locks, state.matches, state.ages)
+    ]
 
 
 def check_antigen_conservation(rng: random.Random) -> None:
@@ -59,13 +67,13 @@ def check_antigen_conservation(rng: random.Random) -> None:
         if rng.random() < 0.5:
             comp.add_antigen(rng.randrange(512))
         producers = _antigen_producers(comp)
-        live_before = sum(1 for p in producers if p.key is not None)
+        live_before = sum(1 for key, _ in producers if key is not None)
         expiring = sum(
-            1 for p in producers if p.key is not None and p.presentation_remaining == 1
+            1 for key, remaining in producers if key is not None and remaining == 1
         )
         store_before = comp.antigen_count()
         comp.cycle()
-        live_after = sum(1 for p in producers if p.key is not None)
+        live_after = sum(1 for key, _ in _antigen_producers(comp) if key is not None)
         newly_presented = live_after - (live_before - expiring)
         assert store_before - comp.antigen_count() == newly_presented
         assert newly_presented >= 0
@@ -86,11 +94,10 @@ def check_presentation_expiry(rng: random.Random) -> None:
     attach_twocell(comp, params)
     value = rng.randrange(512)
     comp.add_antigen(value)
-    producers = _antigen_producers(comp)
     visible = []
     for _ in range(period + rng.randint(1, 5)):
         comp.cycle()
-        visible.append(any(p.key == value for p in producers))
+        visible.append(any(key == value for key, _ in _antigen_producers(comp)))
     assert visible[:period] == [True] * period
     assert not any(visible[period:])
 
@@ -116,28 +123,26 @@ def check_reset_correctness(rng: random.Random) -> None:
     params = _random_params(rng, cell_lifespan=rng.randint(3, 12))
     comp = create_compartment(seed=rng.randrange(2**30))
     attach_twocell(comp, params)
-    t2s = comp.cells_of_type(TYPE2)
     for _ in range(rng.randint(10, 60)):
         if rng.random() < 0.6:
             comp.add_antigen(rng.randrange(512))
-        before = {
-            c.id: (_vr_locks(c), c.cytokines[0], c.age_cycles) for c in t2s
-        }
+        before = _type2_cells(comp)
         comp.cycle()
-        for cell in t2s:
-            locks0, cytokine0, age0 = before[cell.id]
-            if cytokine0 >= 1:
-                assert _vr_locks(cell) == locks0, "matched cell was re-randomized"
-            if _vr_locks(cell) != locks0:
-                assert cytokine0 == 0
+        after = _type2_cells(comp)
+        assert len(after) == len(before) == params.n_type2
+        for (locks0, matches0, age0), (locks, matches, age) in zip(before, after):
+            if matches0 >= 1:
+                assert locks == locks0, "matched cell was re-randomized"
+            if locks != locks0:
+                assert matches0 == 0
                 assert age0 == params.cell_lifespan - 1
-                assert cell.age_cycles == 0
+                assert age == 0
             if (
-                cytokine0 == 0
+                matches0 == 0
                 and age0 == params.cell_lifespan - 1
-                and cell.cytokines[0] == 0
+                and matches == 0
             ):
-                assert cell.age_cycles == 0, "reset missed at lifespan boundary"
+                assert age == 0, "reset missed at lifespan boundary"
 
 
 def _random_policy(rng: random.Random) -> SyscallPolicy:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import time
 from pathlib import Path
 
@@ -305,3 +306,26 @@ class TestCli:
             ])
         assert code == 0
         assert "495 antigen" in capsys.readouterr().out
+
+
+# sha256 of "cycle,cell_id,matched_value\n" rows, recorded before the two-cell
+# detector moved to flat per-cell state: the RNG stream must not change.
+RESPONSE_LOG_DIGESTS = {
+    ("normal2", 0): (265, "6e03b72b74f9460a041f8125f79b59c9f38466484357634b8e18279ff3007124"),
+    ("normal2", 1): (134, "4e8bbeaa0633e715b0ddd08a26f52af980a4442177f4a7943275c34e69a9aa9d"),
+    ("normal2", 2): (104, "07fa4203a9629e8cc764e0f2cd1679142bbea93da96cb750c10e734b9103cf68"),
+    ("success1", 0): (1413, "0ed57dc457764d2d75dbb970db01b07c9772b89183d6a236a926883210b93654"),
+    ("success1", 1): (1158, "eb0091088f12734055f88bca32b91375623650f5fb8d4edd3d534e99b5a898d9"),
+    ("success1", 2): (999, "fab01c0b5d5a9881b47f94dd25ce93a0ef732606a2bdf0bfa89f9a481e091021"),
+}
+
+
+@pytest.mark.parametrize("dataset,seed", sorted(RESPONSE_LOG_DIGESTS))
+def test_response_log_golden(bundled_logs, dataset, seed):
+    records = run_single_offline(
+        bundled_logs[dataset], TissueParams(), TwocellParams(), seed, tail_time=10.0
+    )
+    digest = hashlib.sha256()
+    for r in records:
+        digest.update(f"{r.cycle},{r.cell_id},{r.matched_value}\n".encode())
+    assert (len(records), digest.hexdigest()) == RESPONSE_LOG_DIGESTS[dataset, seed]

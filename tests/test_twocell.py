@@ -1,27 +1,35 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from aisd.tissue import ProducerKind, ReceptorKind, create_compartment
+from aisd.tissue import TissueParams, create_compartment
 from aisd.trace_model import SYSCALL_RANGE
 from aisd.twocell import (
-    TYPE1,
-    TYPE2,
     TwocellParams,
     attach_twocell,
-    make_twocell_population,
     params_from_kv,
     presentation_period,
     type2_cycle,
 )
 
 
-def antigen_producers(cell):
-    return [p for p in cell.producers if p.kind is ProducerKind.ANTIGEN]
+def population(params, seed=0):
+    comp = create_compartment(seed=seed)
+    attach_twocell(comp, params)
+    return comp.twocell
 
 
-def vr_locks(cell):
-    return [r.lock for r in cell.receptors if r.kind is ReceptorKind.VR]
+def antigen_producers(comp, cell=0):
+    """(key, presentation_remaining) of each producer of a Type 1 cell."""
+    state = comp.twocell
+    return list(zip(state.keys[cell], state.timers[cell]))
+
+
+def vr_locks(comp, k=0):
+    """The VR locks of the k-th Type 2 cell."""
+    return list(comp.twocell.locks[k])
 
 
 class TestParams:
@@ -54,32 +62,40 @@ class TestPresentationPeriod:
 
 class TestPopulation:
     def test_counts_and_repertoires(self):
-        params = TwocellParams(n_type1=2, n_type2=3, vr_receptors_per_t2=4, seed=1)
-        cells = make_twocell_population(params)
-        assert len(cells) == 5
-        t1s = [c for c in cells if c.cell_type == TYPE1]
-        t2s = [c for c in cells if c.cell_type == TYPE2]
-        assert len(t1s) == 2 and len(t2s) == 3
-        for cell in t1s:
-            kinds = [r.kind for r in cell.receptors]
-            assert kinds.count(ReceptorKind.ANTIGEN) == params.antigen_receptors_per_t1
-            assert kinds.count(ReceptorKind.CYTOKINE) == 1
-            assert len(antigen_producers(cell)) == params.antigen_producers_per_t1
-        for cell in t2s:
-            assert len(vr_locks(cell)) == 4
-            assert cell.cytokines == [0]
-            kinds = [r.kind for r in cell.receptors]
-            assert kinds.count(ReceptorKind.CELL) == params.cell_receptors_per_t2
+        params = TwocellParams(n_type1=2, n_type2=3, vr_receptors_per_t2=4)
+        state = population(params, seed=1)
+        assert (state.n1, state.n2) == (2, 3)
+        assert state.params is params
+        producers = params.antigen_producers_per_t1
+        assert state.keys == [[None] * producers] * 2
+        assert state.timers == [[0] * producers] * 2
+        assert len(state.locks) == 3
+        assert all(len(locks) == 4 for locks in state.locks)
+        assert state.matches == [0, 0, 0]
+        assert state.ages == [0, 0, 0]
 
     def test_locks_within_range(self):
-        cells = make_twocell_population(TwocellParams(n_type2=30, seed=2))
-        for cell in cells:
-            assert all(0 <= lock < SYSCALL_RANGE for lock in vr_locks(cell))
+        state = population(TwocellParams(n_type2=30), seed=2)
+        for locks in state.locks:
+            assert all(0 <= lock < SYSCALL_RANGE for lock in locks)
+
+    def test_needs_cpu_signal(self):
+        comp = create_compartment(TissueParams(signals=("net",)), seed=1)
+        with pytest.raises(ValueError, match="cpu"):
+            attach_twocell(comp, TwocellParams())
+        assert comp.twocell is None
 
     def test_seed_determinism(self):
-        a = make_twocell_population(TwocellParams(seed=9))
-        b = make_twocell_population(TwocellParams(seed=9))
-        assert [vr_locks(c) for c in a] == [vr_locks(c) for c in b]
+        params = TwocellParams(vr_receptors_per_t2=3)
+        a = population(params, seed=9)
+        b = population(params, seed=9)
+        assert a.locks == b.locks
+        # locks are the compartment stream's first draws, cell by cell
+        rng = random.Random(9)
+        expected = [
+            [rng.randrange(SYSCALL_RANGE) for _ in range(3)] for _ in range(params.n_type2)
+        ]
+        assert a.locks == expected
 
 
 class TestType1:
@@ -106,9 +122,8 @@ class TestType1:
         comp = self.make(params)
         comp.add_antigen(7)
         comp.cycle()
-        cell = comp.cells_of_type(TYPE1)[0]
-        presented = [p for p in antigen_producers(cell) if p.key is not None]
-        assert presented[0].presentation_remaining == 5
+        presented = [p for p in antigen_producers(comp) if p[0] is not None]
+        assert presented[0][1] == 5
 
     def test_cpu_one_gives_max_presentation(self):
         params = TwocellParams(n_type1=1, n_type2=1, min_presentation=5,
@@ -117,9 +132,8 @@ class TestType1:
         comp.set_signal("cpu", 1.0)
         comp.add_antigen(7)
         comp.cycle()
-        cell = comp.cells_of_type(TYPE1)[0]
-        presented = [p for p in antigen_producers(cell) if p.key is not None]
-        assert presented[0].presentation_remaining == 45
+        presented = [p for p in antigen_producers(comp) if p[0] is not None]
+        assert presented[0][1] == 45
 
     def test_presented_exactly_period_cycles(self):
         period = 3
@@ -127,11 +141,10 @@ class TestType1:
                                max_presentation=period)
         comp = self.make(params)
         comp.add_antigen(9)
-        cell = comp.cells_of_type(TYPE1)[0]
         visible = []
         for _ in range(period + 3):
             comp.cycle()
-            visible.append(any(p.key == 9 for p in antigen_producers(cell)))
+            visible.append(any(key == 9 for key, _ in antigen_producers(comp)))
         assert visible == [True] * period + [False] * 3
 
 
@@ -144,40 +157,55 @@ class TestType2:
         )
         comp = create_compartment(seed=11)
         attach_twocell(comp, params)
-        t2 = comp.cells_of_type(TYPE2)[0]
-        locks = [r for r in t2.receptors if r.kind is ReceptorKind.VR]
-        locks[0].lock, locks[1].lock = 5, 90
+        state = comp.twocell
+        state.locks[0][:] = [5, 90]
         comp.add_antigen(5)
         comp.cycle()  # presentation happens; match may occur same cycle
         comp.cycle()  # guaranteed visible now
         values = [r.matched_value for r in comp.response_log]
         assert 5 in values
-        assert t2.cytokines[0] == len(values)
+        assert state.matches[0] == len(values)
         assert all(v == 5 for v in values)
+        assert {r.cell_id for r in comp.response_log} == {state.n1}
 
     def test_no_type1_still_ages(self):
         params = TwocellParams(n_type1=1, n_type2=1)
         comp = create_compartment(seed=1)
         attach_twocell(comp, params)
-        t2 = comp.cells_of_type(TYPE2)[0]
-        comp._cells_by_type[TYPE1] = []  # empty bind set
-        type2_cycle(t2, comp, params)
-        assert t2.age_cycles == 1
+        state = comp.twocell
+        state.keys = []  # empty bind set
+        type2_cycle(state.n1, comp, params)
+        assert state.ages[0] == 1
         assert comp.response_log == []
+
+    def test_binds_per_cycle(self):
+        # one bind draw per cell receptor, up to the attempt budget
+        for receptors, attempts in ((2, 3), (3, 1), (4, 4)):
+            params = TwocellParams(
+                n_type1=5, n_type2=1, cell_receptors_per_t2=receptors,
+                bind_attempts_per_cycle=attempts, cell_lifespan=50,
+            )
+            comp = create_compartment(seed=8)
+            attach_twocell(comp, params)
+            expected = random.Random()
+            expected.setstate(comp.rng.getstate())
+            type2_cycle(comp.twocell.n1, comp, params)
+            for _ in range(min(receptors, attempts)):
+                expected.randrange(params.n_type1)
+            assert comp.rng.getstate() == expected.getstate()
 
     def test_reset_fires_at_exactly_lifespan(self):
         lifespan = 6
-        params = TwocellParams(n_type1=1, n_type2=1, cell_lifespan=lifespan, seed=5)
+        params = TwocellParams(n_type1=1, n_type2=1, cell_lifespan=lifespan)
         comp = create_compartment(seed=5)
         attach_twocell(comp, params)
-        t2 = comp.cells_of_type(TYPE2)[0]
-        before = list(vr_locks(t2))
+        before = vr_locks(comp)
         for cycle in range(1, lifespan):
             comp.cycle()
-            assert vr_locks(t2) == before, f"reset too early at cycle {cycle}"
-            assert t2.age_cycles == cycle
+            assert vr_locks(comp) == before, f"reset too early at cycle {cycle}"
+            assert comp.twocell.ages[0] == cycle
         comp.cycle()
-        assert t2.age_cycles == 0  # randomization event at exactly `lifespan`
+        assert comp.twocell.ages[0] == 0  # randomization event at exactly `lifespan`
 
     def test_matched_cell_never_resets(self):
         params = TwocellParams(
@@ -186,17 +214,15 @@ class TestType2:
         )
         comp = create_compartment(seed=2)
         attach_twocell(comp, params)
-        t2 = comp.cells_of_type(TYPE2)[0]
-        receptor = next(r for r in t2.receptors if r.kind is ReceptorKind.VR)
-        receptor.lock = 42
+        comp.twocell.locks[0][0] = 42
         comp.add_antigen(42)
         for _ in range(3):
             comp.cycle()
-        assert t2.cytokines[0] >= 1
-        locks_at_match = list(vr_locks(t2))
+        assert comp.twocell.matches[0] >= 1
+        locks_at_match = vr_locks(comp)
         for _ in range(40):
             comp.cycle()
-        assert vr_locks(t2) == locks_at_match
+        assert vr_locks(comp) == locks_at_match
 
     def test_rate_coupling_cross_correlation(self):
         # responses trail antigen: peak cross-correlation sits at lag >= 0
@@ -253,13 +279,11 @@ class TestType2:
         )
         comp = create_compartment(seed=3)
         attach_twocell(comp, params)
-        t2 = comp.cells_of_type(TYPE2)[0]
-        next(r for r in t2.receptors if r.kind is ReceptorKind.VR).lock = 8
+        comp.twocell.locks[0][0] = 8
         comp.add_antigen(8)
         comp.cycle()
         comp.cycle()
         comp.cycle()
         # matched every cycle it is visible, and it stays the full period
-        t1 = comp.cells_of_type(TYPE1)[0]
-        assert any(p.key == 8 for p in antigen_producers(t1))
-        assert t2.cytokines[0] >= 2
+        assert any(key == 8 for key, _ in antigen_producers(comp))
+        assert comp.twocell.matches[0] >= 2

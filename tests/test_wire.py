@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from aisd.tissue import Cell, TissueParams, create_compartment
+from aisd.tissue import TissueParams, create_compartment
 from aisd.trace_model import Label, SignalSample, SyscallEvent, merge_to_replay_log
 from aisd.twocell import TwocellParams, attach_twocell
 from aisd.wire import (
@@ -153,8 +153,7 @@ class TestServer:
         try:
             send_lines(sock, "HELLO 1 response")
             time.sleep(0.1)
-            cell = Cell(id=9, cell_type=2)
-            compartment.emit_response(cell, 55)
+            compartment.emit_response(9, 55)
             sock.settimeout(5)
             line = sock.makefile("r").readline()
             message = decode(line)

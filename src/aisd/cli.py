@@ -17,7 +17,7 @@ import time
 from dataclasses import replace
 from pathlib import Path
 
-from .harness import read_plan, run_experiment, run_offline
+from .harness import check_params_keys, read_plan, run_experiment, run_offline
 from .policy import evaluate, read_policy
 from .scenarios import BUNDLED_PROFILES, synthesize_scenario
 from .tissue import create_compartment, parse_kv_text, tissue_params_from_kv
@@ -65,6 +65,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     kv = parse_kv_text(Path(args.params).read_text(encoding="utf-8")) if args.params else {}
+    check_params_keys(kv, extra=("seed",))
     tissue_params, twocell_params = tissue_params_from_kv(kv), twocell_params_from_kv(kv)
     seed = args.seed if args.seed is not None else int(kv.get("seed", 0))
     compartment = create_compartment(tissue_params, seed)

@@ -19,7 +19,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .policy import (
     EvaluationRow,
@@ -40,6 +40,7 @@ from .tissue import (
     TissueParams,
     create_compartment,
     format_response_csv,
+    iter_kv_lines,
     parse_kv_text,
     tissue_params_from_kv,
 )
@@ -101,15 +102,7 @@ def parse_plan(text: str, base_dir: str | Path = ".") -> ExperimentPlan:
     base = Path(base_dir)
     datasets: list[PlanDataset] = []
     scalars: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+    for lineno, raw, key, value in iter_kv_lines(text):
         if key == "dataset":
             parts = value.split()
             if len(parts) != 2:
@@ -136,8 +129,22 @@ def read_plan(path: str | Path) -> ExperimentPlan:
     return parse_plan(p.read_text(encoding="utf-8"), base_dir=p.parent)
 
 
+def check_params_keys(kv: Mapping[str, str], extra: Iterable[str] = ()) -> None:
+    """Reject a params key that no parameter reads, such as a misspelling,
+    which would otherwise leave its parameter at the default."""
+    known = {
+        *TissueParams.__dataclass_fields__,
+        *(f"twocell.{name}" for name in TwocellParams.__dataclass_fields__),
+        *extra,
+    }
+    for key in kv:
+        if key not in known:
+            raise ValueError(f"unknown params key {key!r}")
+
+
 def load_params_file(path: str | Path) -> tuple[TissueParams, TwocellParams]:
     kv = parse_kv_text(Path(path).read_text(encoding="utf-8"))
+    check_params_keys(kv)
     return tissue_params_from_kv(kv), twocell_params_from_kv(kv)
 
 

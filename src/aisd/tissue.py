@@ -7,6 +7,12 @@ through ``twocell.type1_cycle`` and Type 2 cells through
 ``twocell.type2_cycle``, in a seeded-random order, so repeated runs with the
 same seed and the same scripted inputs are bit-identical.
 
+The hot random draws (the cycle's shuffle, ``draw_antigen`` and the Type 2
+binds) call the compartment RNG's ``getrandbits(n.bit_length())`` directly
+and reject values >= n.  That is exactly what ``randrange(n)`` and
+``shuffle`` do inside ``random.Random``, so the stream is the same draw for
+draw, without a Python frame per draw.
+
 External writers (wire sessions) may add antigen and set signals
 concurrently with a cycling thread; individual writes are atomic and become
 visible no later than the start of the next cycle.
@@ -16,13 +22,14 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 import random
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 from . import twocell
 from .trace_model import DEFAULT_TABLE, Label, SyscallTable
@@ -105,6 +112,8 @@ class Compartment:
     def set_signal(self, name: str, level: float) -> None:
         if name not in self._signals:
             raise ValueError(f"unknown signal {name!r}")
+        if not math.isfinite(level):
+            raise ValueError(f"signal {name} level must be finite, got {level}")
         if level < 0.0 or level > 1.0:
             logger.warning("signal %s level %s outside [0, 1], clamped", name, level)
             level = min(1.0, max(0.0, level))
@@ -123,9 +132,15 @@ class Compartment:
     def draw_antigen(self) -> tuple[int, Label] | None:
         """Remove and return one antigen chosen uniformly at random."""
         store = self._store
-        if not store:
+        n = len(store)
+        if not n:
             return None
-        idx = self.rng.randrange(len(store))
+        # randrange(n), inline
+        getrandbits = self.rng.getrandbits
+        bits = n.bit_length()
+        idx = getrandbits(bits)
+        while idx >= n:
+            idx = getrandbits(bits)
         item = store[idx]
         del store[idx]
         self._consumed += 1
@@ -157,8 +172,14 @@ class Compartment:
             if state is not None:
                 n1 = state.n1
                 params = state.params
+                # rng.shuffle(order), inline: swap order[i] with order[randrange(i + 1)]
+                getrandbits = state.getrandbits
                 order = list(range(n1 + state.n2))
-                self.rng.shuffle(order)
+                for i, n, bits in state.shuffle_steps:
+                    j = getrandbits(bits)
+                    while j >= n:
+                        j = getrandbits(bits)
+                    order[i], order[j] = order[j], order[i]
                 # looked up every cycle, so rebinding the module's names takes effect
                 type1_cycle = twocell.type1_cycle
                 type2_cycle = twocell.type2_cycle
@@ -179,9 +200,9 @@ def create_compartment(params: TissueParams | None = None, seed: int = 0) -> Com
 # key = value parameter files
 # ---------------------------------------------------------------------------
 
-def parse_kv_text(text: str) -> dict[str, str]:
-    """Parse `key = value` lines; # comments and blank lines ignored."""
-    result: dict[str, str] = {}
+def iter_kv_lines(text: str) -> Iterator[tuple[int, str, str, str]]:
+    """Yield (line number, raw line, key, value) per `key = value` line;
+    # comments and blank lines are skipped."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -189,8 +210,12 @@ def parse_kv_text(text: str) -> dict[str, str]:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        result[key.strip()] = value.strip()
-    return result
+        yield lineno, raw, key.strip(), value.strip()
+
+
+def parse_kv_text(text: str) -> dict[str, str]:
+    """Parse `key = value` lines; # comments and blank lines ignored."""
+    return {key: value for _, _, key, value in iter_kv_lines(text)}
 
 
 def tissue_params_from_kv(kv: Mapping[str, str]) -> TissueParams:

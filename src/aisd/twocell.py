@@ -9,6 +9,10 @@ re-randomizes all its locks once it outlives ``cell_lifespan`` cycles.
 A population is a ``TwoCellState`` of flat per-cell lists.  Cell ids are
 0..n1-1 for Type 1 cells and n1..n1+n2-1 for Type 2 cells; the compartment
 runs ``type1_cycle`` or ``type2_cycle`` once per id per cycle.
+
+A Type 2 bind picks a Type 1 cell by rejection sampling on
+``getrandbits(n1.bit_length())``, inline, which equals ``randrange(n1)``
+draw for draw.
 """
 from __future__ import annotations
 
@@ -92,6 +96,12 @@ class TwoCellState:
         ]
         self.matches = [0] * self.n2
         self.ages = [0] * self.n2
+        self.getrandbits = rng.getrandbits
+        # the cycle's Fisher-Yates shuffle of all ids, as random.shuffle does
+        # it: (i, n, bits) swaps slot i with randrange(n), n = i + 1
+        self.shuffle_steps = [
+            (i, i + 1, (i + 1).bit_length()) for i in range(self.n1 + self.n2 - 1, 0, -1)
+        ]
 
 
 def type1_cycle(cell: int, compartment: Compartment, params: TwocellParams) -> None:
@@ -111,6 +121,8 @@ def type1_cycle(cell: int, compartment: Compartment, params: TwocellParams) -> N
             timers[j] = remaining
             if not remaining:
                 keys[j] = None  # presented antigen destroyed
+    if not compartment._store:
+        return  # draw_antigen would return None without drawing
 
     # the period is read once per cycle, and only if something is presented
     period = 0
@@ -141,11 +153,15 @@ def type2_cycle(cell: int, compartment: Compartment, params: TwocellParams) -> N
     k = cell - state.n1
     locks = state.locks[k]
     bound_keys = state.keys
-    randbelow = compartment.rng._randbelow  # what randrange(n) draws
-    if bound_keys:
-        n1 = len(bound_keys)
+    n1 = len(bound_keys)
+    if n1:
+        getrandbits = state.getrandbits
+        bits = n1.bit_length()
         for _ in range(state.binds):
-            for key in bound_keys[randbelow(n1)]:
+            bound = getrandbits(bits)  # randrange(n1), inline
+            while bound >= n1:
+                bound = getrandbits(bits)
+            for key in bound_keys[bound]:
                 if key is not None and key in locks:
                     for lock in locks:
                         if lock == key:
@@ -154,6 +170,7 @@ def type2_cycle(cell: int, compartment: Compartment, params: TwocellParams) -> N
 
     age = state.ages[k] + 1
     if age >= params.cell_lifespan and not state.matches[k]:
+        randbelow = compartment.rng._randbelow  # what randrange(n) draws
         for j in range(len(locks)):
             locks[j] = randbelow(SYSCALL_RANGE)
         age = 0

@@ -10,13 +10,13 @@ The wire format is newline-delimited ASCII, one message per line:
     BYE
 
 Every session starts with HELLO; antigen/signal messages are only accepted
-from clients that declared the matching role.  The server timestamps inputs
-at receipt rather than trusting client clocks.
+from clients that declared the matching role.
 """
 from __future__ import annotations
 
 import enum
 import logging
+import math
 import os
 import socket
 import threading
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .tissue import Compartment, ResponseRecord
-from .trace_model import Label, ReplayLog, SyscallEvent
+from .trace_model import SYSCALL_RANGE, Label, ReplayLog, SyscallEvent
 
 logger = logging.getLogger(__name__)
 
@@ -114,11 +114,14 @@ def _int_field(kind: str, index: int, name: str, token: str, minimum: int = 0) -
 
 def _float_field(kind: str, index: int, name: str, token: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ProtocolError(
             f"{kind}: field {index} ({name}) must be a number, got {token!r}"
         ) from None
+    if not math.isfinite(value):
+        raise ProtocolError(f"{kind}: field {index} ({name}) must be finite, got {token!r}")
+    return value
 
 
 def decode(line: str | bytes) -> WireMessage:
@@ -148,6 +151,8 @@ def decode(line: str | bytes) -> WireMessage:
         if len(args) != 2:
             raise ProtocolError(f"ANTIGEN: expected 2 fields, got {len(args)}")
         number = _int_field("ANTIGEN", 1, "syscall number", args[0])
+        if number >= SYSCALL_RANGE:
+            raise ProtocolError(f"ANTIGEN: field 1 (syscall number) must be < {SYSCALL_RANGE}")
         try:
             label = Label(args[1])
         except ValueError:

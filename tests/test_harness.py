@@ -80,6 +80,13 @@ class TestPlanParsing:
         assert tissue.cycles_per_second == 20.0
         assert twocell.n_type2 == 7
 
+    @pytest.mark.parametrize("key", ["twocell.n_typ1", "antigen_capacty", "twocell.seed", "seed"])
+    def test_params_file_unknown_key(self, tmp_path, key):
+        params = tmp_path / "params.txt"
+        params.write_text(f"signals = cpu\n{key} = 4\n")
+        with pytest.raises(ValueError, match=f"unknown params key '{key}'"):
+            load_params_file(params)
+
 
 class TestOfflineExperiment:
     def test_artifact_layout(self, bundled_files, tmp_path):
@@ -234,6 +241,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "serving on" in out
         assert "responses:" in out
+
+    @pytest.mark.parametrize("key", ["twocell.n_typ1", "twocell.seed"])
+    def test_serve_cli_unknown_key(self, tmp_path, key):
+        from aisd import cli
+
+        params = tmp_path / "params.txt"
+        params.write_text(f"seed = 9\n{key} = 4\n")
+        with pytest.raises(ValueError, match=f"unknown params key '{key}'"):
+            cli.main(["serve", "--params", str(params), "--port", "0"])
 
     def test_synth_stats_eval(self, tmp_path, capsys):
         from aisd.cli import main

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from aisd.tissue import (
     parse_kv_text,
     tissue_params_from_kv,
 )
+from aisd.trace_model import SYSCALL_RANGE, Label
 from aisd.twocell import TwocellParams, attach_twocell
 
 
@@ -82,6 +84,15 @@ class TestInputs:
         comp = create_compartment(seed=1)
         with pytest.raises(ValueError, match="unknown signal"):
             comp.set_signal("disk", 0.5)
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf, -math.inf])
+    def test_non_finite_signal_rejected(self, level):
+        comp = create_compartment(seed=1)
+        comp.set_signal("cpu", 0.25)
+        with pytest.raises(ValueError, match="finite"):
+            comp.set_signal("cpu", level)
+        assert comp.get_signal("cpu") == 0.25
+        assert comp.signals_set_total == 1
 
     def test_capacity_drops_oldest(self):
         comp = create_compartment(TissueParams(antigen_capacity=3), seed=1)
@@ -173,6 +184,46 @@ class TestCycle:
                 assert passed is params  # third positional argument
             orders.add(tuple(cell for _, cell, _ in runs))
         assert len(orders) > 1  # the order is reshuffled every cycle
+
+
+class TestRandomStream:
+    """The cycle's inline draws consume the stream exactly as the stdlib's
+    public ``shuffle`` and ``randrange`` do."""
+
+    @pytest.mark.parametrize(
+        "n1, n2, seed", [(10, 20, 1), (4, 4, 2), (1, 1, 3), (3, 13, 4), (16, 16, 5)]
+    )
+    def test_cycle_equals_shuffle_then_bind_draws(self, monkeypatch, n1, n2, seed):
+        params = TwocellParams(n_type1=n1, n_type2=n2, vr_receptors_per_t2=3)
+        comp = create_compartment(seed=seed)
+        attach_twocell(comp, params)
+        runs: list = []
+        count_cell_runs(monkeypatch, runs)
+        comp.cycle()  # empty store: Type 1 cells draw nothing
+
+        expected = random.Random(seed)
+        for _ in range(n2 * 3):
+            expected.randrange(SYSCALL_RANGE)  # the locks drawn at attach
+        order = list(range(n1 + n2))
+        expected.shuffle(order)
+        for _ in range(comp.twocell.binds * n2):
+            expected.randrange(n1)
+        assert comp.rng.getstate() == expected.getstate()
+        assert [cell for _, cell, _ in runs] == order
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 4, 8, 512, 1000])
+    def test_draw_antigen_equals_randrange(self, size):
+        comp = create_compartment(seed=size)
+        for value in range(size):
+            comp.add_antigen(value)
+        expected = random.Random()
+        expected.setstate(comp.rng.getstate())
+        store = [(value, Label.NORMAL) for value in range(size)]
+        while store:
+            assert comp.draw_antigen() == store.pop(expected.randrange(len(store)))
+            assert comp.rng.getstate() == expected.getstate()
+        assert comp.draw_antigen() is None
+        assert comp.rng.getstate() == expected.getstate()
 
 
 class TestParamsFile:

@@ -90,6 +90,18 @@ class TestCodec:
         m = WireMessage.signal("cpu", 0.1234567890123456)
         assert decode(encode(m)) == m
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_values_rejected(self, token):
+        with pytest.raises(ProtocolError, match="field 2 .* finite"):
+            decode(f"SIGNAL cpu {token}")
+        with pytest.raises(ProtocolError, match="field 3 .* finite"):
+            decode(f"RESPONSE 5 1 {token}")
+
+    def test_antigen_number_below_syscall_range(self):
+        assert decode("ANTIGEN 511 normal") == WireMessage.antigen(511, Label.NORMAL)
+        with pytest.raises(ProtocolError, match="field 1"):
+            decode("ANTIGEN 512 normal")
+
 
 class TestServer:
     def test_two_clients_counts(self, server, compartment):
@@ -123,6 +135,21 @@ class TestServer:
             send_lines(sock, "HELLO 1 signal", "ANTIGEN 5 normal")
             sock.settimeout(5)
             assert sock.recv(64) == b""
+            assert compartment.antigen_added_total == 0
+        finally:
+            sock.close()
+
+    @pytest.mark.parametrize(
+        "frame", ["SIGNAL cpu nan", "SIGNAL cpu inf", "SIGNAL cpu -inf", "ANTIGEN 512 normal"]
+    )
+    def test_out_of_range_frame_disconnects(self, server, compartment, frame):
+        sock = client_socket(server)
+        try:
+            send_lines(sock, "HELLO 1 antigen,signal", "SIGNAL cpu 0.5", frame)
+            sock.settimeout(5)
+            assert sock.recv(64) == b""
+            assert compartment.get_signal("cpu") == 0.5
+            assert compartment.signals_set_total == 1
             assert compartment.antigen_added_total == 0
         finally:
             sock.close()

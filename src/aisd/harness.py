@@ -5,7 +5,10 @@ The realtime path starts a server, waits, replays a dataset over loopback
 and keeps the detector running for a tail period.  The offline path feeds
 the same records straight into a fresh compartment with a fixed
 events-to-cycles interleaving (no sockets, no pacing), which makes whole
-experiments deterministic per seed and much faster than realtime.
+experiments deterministic per seed and much faster than realtime.  It
+ingests by window: the records due before a cycle are found by bisection,
+their signals set in order and their syscall events added in one
+``Compartment.add_events`` call.
 
 Output layout per experiment directory:
 
@@ -17,6 +20,7 @@ from __future__ import annotations
 import logging
 import math
 import time
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -93,16 +97,24 @@ class ExperimentPlan:
         return [d for d in self.datasets if d.group is not ScenarioKind.NORMAL]
 
 
+PLAN_KEYS = frozenset(
+    {"dataset", *ExperimentPlan.__dataclass_fields__} - {"datasets"}
+)
+
+
 def parse_plan(text: str, base_dir: str | Path = ".") -> ExperimentPlan:
     """Parse a plan file: `key = value` lines with repeatable `dataset` keys.
 
     A dataset line reads `dataset = <path> <group>` with group one of
     normal, success or failure; relative paths resolve against ``base_dir``.
+    A key outside ``PLAN_KEYS``, such as a misspelling, is an error.
     """
     base = Path(base_dir)
     datasets: list[PlanDataset] = []
     scalars: dict[str, str] = {}
     for lineno, raw, key, value in iter_kv_lines(text):
+        if key not in PLAN_KEYS:
+            raise ValueError(f"line {lineno}: unknown plan key {key!r}")
         if key == "dataset":
             parts = value.split()
             if len(parts) != 2:
@@ -192,25 +204,31 @@ def run_single_offline(
 
     All records with timestamp < k / cycles_per_second are delivered before
     cycle k; after the last record the compartment keeps cycling for the
-    tail period.
+    tail period.  Each window's signal samples are set in order and its
+    syscall events added with one ``add_events`` call, which leaves the
+    store as one ``add_antigen`` per event would.
     """
     compartment = create_compartment(tissue_params, seed)
     attach_twocell(compartment, twocell_params)
     cps = tissue_params.cycles_per_second
     records = log.records
+    stamps = [r.timestamp for r in records]
     n_records = len(records)
     idx = 0
     total_cycles = int(math.floor(log.duration * cps)) + 1 + int(round(tail_time * cps))
     while compartment.cycle_count < total_cycles or idx < n_records:
-        next_cycle = compartment.cycle_count + 1
-        horizon = next_cycle / cps
-        while idx < n_records and records[idx].timestamp < horizon:
-            record = records[idx]
-            if isinstance(record, SyscallEvent):
-                compartment.add_antigen(record.syscall_number, record.label)
-            else:
-                compartment.set_signal(record.signal_name, record.value)
-            idx += 1
+        horizon = (compartment.cycle_count + 1) / cps
+        if idx < n_records and stamps[idx] < horizon:
+            end = bisect_left(stamps, horizon, idx + 1)
+            events = []
+            for record in records[idx:end]:
+                if isinstance(record, SyscallEvent):
+                    events.append(record)
+                else:
+                    compartment.set_signal(record.signal_name, record.value)
+            if events:  # many windows hold only a signal sample
+                compartment.add_events(events)
+            idx = end
         compartment.cycle()
     return compartment.response_log
 

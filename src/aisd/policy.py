@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .tissue import ResponseRecord
-from .trace_model import DEFAULT_TABLE, Label, ReplayLog, SyscallTable
+from .trace_model import DEFAULT_TABLE, Label, ReplayLog, SyscallTable, event_antigen
 
 
 class PolicyProvenance(str, enum.Enum):
@@ -117,15 +117,17 @@ def average_policy(policies: Sequence[SyscallPolicy]) -> SyscallPolicy:
 
 def evaluate(policy: SyscallPolicy, log: ReplayLog) -> EvaluationRow:
     """Classify every event by policy membership of its syscall number."""
+    # one pass to count (syscall_number, label) pairs; at most 2 x 512 keys
+    counts = Counter(map(event_antigen, log.syscall_events()))
     total = normal = attack = permit = 0
-    for event in log.syscall_events():
-        total += 1
-        if event.label is Label.ATTACK:
-            attack += 1
+    for (number, label), count in counts.items():
+        total += count
+        if label is Label.ATTACK:
+            attack += count
         else:
-            normal += 1
-        if policy.permits(event.syscall_number):
-            permit += 1
+            normal += count
+        if policy.permits(number):
+            permit += count
     return EvaluationRow(
         dataset=log.scenario_name,
         total=total,

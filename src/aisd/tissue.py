@@ -15,7 +15,10 @@ draw, without a Python frame per draw.
 
 External writers (wire sessions) may add antigen and set signals
 concurrently with a cycling thread; individual writes are atomic and become
-visible no later than the start of the next cycle.
+visible no later than the start of the next cycle.  ``add_antigen`` adds one
+antigen (a wire frame); ``add_events`` adds a batch of syscall events, such as
+an offline run's window of events between two cycles, in one locked
+``deque.extend``.
 """
 from __future__ import annotations
 
@@ -29,10 +32,10 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from . import twocell
-from .trace_model import DEFAULT_TABLE, Label, SyscallTable
+from .trace_model import DEFAULT_TABLE, Label, SyscallEvent, SyscallTable, event_antigen
 
 logger = logging.getLogger(__name__)
 
@@ -105,9 +108,22 @@ class Compartment:
     def add_antigen(self, value: int, label: Label = Label.NORMAL) -> None:
         if value < 0:
             raise ValueError(f"antigen value must be >= 0, got {value}")
+        if not isinstance(label, Label):
+            label = Label(label)
         with self._lock:
-            self._store.append((value, Label(label)))
+            self._store.append((value, label))
             self.antigen_added_total += 1
+
+    def add_events(self, events: Sequence[SyscallEvent]) -> None:
+        """Add each event's (syscall_number, label) as antigen, in order.
+
+        The same store state as one ``add_antigen`` per event: at capacity
+        the oldest antigen is dropped for each one added.  Events were
+        validated when they were built, so nothing is checked again.
+        """
+        with self._lock:
+            self._store.extend(map(event_antigen, events))
+            self.antigen_added_total += len(events)
 
     def set_signal(self, name: str, level: float) -> None:
         if name not in self._signals:

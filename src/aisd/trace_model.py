@@ -12,6 +12,7 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -45,7 +46,17 @@ class ReplayLogFormatError(TraceError):
     pass
 
 
-@dataclass(frozen=True)
+# value -> member, so parsers skip the enum call on valid labels
+_LABELS = {label.value: label for label in Label}
+
+
+def _check_timestamp(timestamp: float) -> None:
+    # also false for nan, which would otherwise sort and compare as nothing
+    if not 0.0 <= timestamp < math.inf:
+        raise ValueError(f"timestamp must be finite and >= 0, got {timestamp}")
+
+
+@dataclass(frozen=True, slots=True)
 class SyscallEvent:
     """One observed syscall: antigen from the monitored process."""
 
@@ -55,8 +66,7 @@ class SyscallEvent:
     label: Label = Label.NORMAL
 
     def __post_init__(self) -> None:
-        if self.timestamp < 0:
-            raise ValueError(f"timestamp must be >= 0, got {self.timestamp}")
+        _check_timestamp(self.timestamp)
         if not 0 <= self.syscall_number < SYSCALL_RANGE:
             raise ValueError(
                 f"syscall number {self.syscall_number} outside [0, {SYSCALL_RANGE})"
@@ -65,7 +75,11 @@ class SyscallEvent:
             raise ValueError(f"pid must be >= 0, got {self.pid}")
 
 
-@dataclass(frozen=True)
+# (syscall_number, label) of a SyscallEvent: the antigen a compartment stores
+event_antigen = attrgetter("syscall_number", "label")
+
+
+@dataclass(frozen=True, slots=True)
 class SignalSample:
     """One context-signal reading, normalized to [0, 1]."""
 
@@ -74,8 +88,7 @@ class SignalSample:
     value: float
 
     def __post_init__(self) -> None:
-        if self.timestamp < 0:
-            raise ValueError(f"timestamp must be >= 0, got {self.timestamp}")
+        _check_timestamp(self.timestamp)
         if not 0.0 <= self.value <= 1.0:
             raise ValueError(f"signal value {self.value} outside [0, 1]")
 
@@ -448,8 +461,10 @@ def parse_strace_log(
             raise StraceParseError(
                 f"line {lineno}: malformed timestamp {m.group('ts')!r}"
             ) from None
-        if timestamp < 0:
-            raise StraceParseError(f"line {lineno}: negative timestamp {timestamp}")
+        try:
+            _check_timestamp(timestamp)
+        except ValueError as exc:
+            raise StraceParseError(f"line {lineno}: {exc}") from None
         name = m.group("name")
         nr = table.number(name)
         if nr is None:
@@ -492,6 +507,9 @@ def parse_monitor_log(
         try:
             ts = float(parts[0])
             cpu_raw = float(parts[3])
+            _check_timestamp(ts)
+            if not math.isfinite(cpu_raw):
+                raise ValueError(f"cpu reading must be finite, got {cpu_raw}")
         except ValueError as exc:
             raise MonitorParseError(f"line {lineno}: {exc}") from None
         if ts < last_ts:
@@ -573,33 +591,51 @@ def write_replay_log(log: ReplayLog, path: str | Path) -> None:
 
 
 def parse_replay_log(text: str, default_name: str = "unnamed") -> ReplayLog:
+    """Parse the replay-log format in one pass.
+
+    Records out of (timestamp, signal-before-antigen) order are sorted; a
+    file already in order, as ``write_replay_log`` writes it, is not.
+    """
     name = default_name
     records: list[Record] = []
+    append = records.append
+    in_order = True
+    last_ts = 0.0
+    last_rank = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+        parts = raw.split()
+        if not parts:
             continue
-        if line.startswith("#"):
-            parts = line[1:].split()
+        kind = parts[0]
+        if kind[0] == "#":
+            parts = raw.strip()[1:].split()
             if len(parts) >= 2 and parts[0] == "scenario":
                 name = parts[1]
             continue
-        parts = line.split()
         try:
-            if parts[0] == "A" and len(parts) == 4:
-                records.append(
-                    SyscallEvent(float(parts[1]), int(parts[2]), label=Label(parts[3]))
-                )
-            elif parts[0] == "S" and len(parts) == 4:
-                records.append(SignalSample(float(parts[1]), parts[2], float(parts[3])))
+            if kind == "A" and len(parts) == 4:
+                token = parts[3]
+                label = _LABELS.get(token) or Label(token)
+                ts = float(parts[1])
+                append(SyscallEvent(ts, int(parts[2]), None, label))
+                rank = 1
+            elif kind == "S" and len(parts) == 4:
+                ts = float(parts[1])
+                append(SignalSample(ts, parts[2], float(parts[3])))
+                rank = 0
             else:
                 raise ReplayLogFormatError(f"line {lineno}: unrecognized record {raw!r}")
         except ReplayLogFormatError:
             raise
         except ValueError as exc:
             raise ReplayLogFormatError(f"line {lineno}: {exc}") from None
-    # stable sort keeps well-formed files untouched, repairs foreign ones
-    records.sort(key=lambda r: (r.timestamp, _record_rank(r)))
+        if ts < last_ts or (ts == last_ts and rank < last_rank):
+            in_order = False
+        last_ts = ts
+        last_rank = rank
+    if not in_order:
+        # stable, so records with equal keys keep their file order
+        records.sort(key=lambda r: (r.timestamp, _record_rank(r)))
     return ReplayLog(scenario_name=name, records=tuple(records))
 
 

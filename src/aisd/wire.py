@@ -200,8 +200,9 @@ class TissueServer:
     """Accepts monitoring clients and feeds a compartment.
 
     One thread accepts connections and starts a thread per client, mirroring
-    the realtime architecture.  If ``cycles_per_second`` is given, a pacer
-    thread cycles the compartment while the server runs.
+    the realtime architecture; it drops finished client threads from
+    ``_threads`` as it adds new ones.  If ``cycles_per_second`` is given, a
+    pacer thread cycles the compartment while the server runs.
     """
 
     def __init__(
@@ -218,6 +219,7 @@ class TissueServer:
         self._listener: socket.socket | None = None
         self._sessions: list[_Session] = []
         self._sessions_lock = threading.Lock()
+        self._accept_thread: threading.Thread | None = None
         self._threads: list[threading.Thread] = []
         self._stopping = threading.Event()
         self._response_listener = None
@@ -237,13 +239,14 @@ class TissueServer:
         self._response_listener = self._forward_response
         self.compartment.add_response_listener(self._response_listener)
 
-        accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
-        accept_thread.start()
-        self._threads.append(accept_thread)
         if self.cycles_per_second:
             pacer = threading.Thread(target=self._pace_cycles, daemon=True)
             pacer.start()
             self._threads.append(pacer)
+        # started last: from here on only the accept loop changes _threads
+        self._accept_thread = threading.Thread(target=self._accept_loop, daemon=True)
+        self._threads.append(self._accept_thread)
+        self._accept_thread.start()
 
     def stop(self) -> None:
         self._stopping.set()
@@ -252,6 +255,9 @@ class TissueServer:
                 self._listener.close()
             except OSError:
                 pass
+        # once the accept loop has exited, no session or thread is added
+        if self._accept_thread is not None:
+            self._accept_thread.join(timeout=5.0)
         with self._sessions_lock:
             sessions = list(self._sessions)
         for session in sessions:
@@ -311,6 +317,7 @@ class TissueServer:
                 target=self._serve_client, args=(session,), daemon=True
             )
             thread.start()
+            self._threads = [t for t in self._threads if t.is_alive()]
             self._threads.append(thread)
 
     def _serve_client(self, session: _Session) -> None:

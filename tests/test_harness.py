@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import hashlib
+import math
 import time
 from pathlib import Path
 
 import pytest
 
+import aisd.harness
 from aisd.harness import (
     ExperimentPlan,
     PlanDataset,
@@ -16,8 +18,9 @@ from aisd.harness import (
     run_single_realtime,
 )
 from aisd.scenarios import ScenarioKind
-from aisd.tissue import TissueParams
-from aisd.twocell import TwocellParams
+from aisd.tissue import TissueParams, create_compartment
+from aisd.trace_model import Label, SignalSample, SyscallEvent, merge_to_replay_log
+from aisd.twocell import TwocellParams, attach_twocell
 
 FAST_TISSUE = TissueParams(cycles_per_second=10.0)
 FAST_TWOCELL = TwocellParams()
@@ -62,6 +65,11 @@ class TestPlanParsing:
         assert plan.datasets[0].path == str(tmp_path / "logs/normal1.tcr")
         assert plan.runs_per_dataset == 3
         assert plan.seed_base == 77
+
+    @pytest.mark.parametrize("key", ["runs_per_datset", "datasets", "seed", "tail"])
+    def test_unknown_plan_key(self, key):
+        with pytest.raises(ValueError, match=f"line 2: unknown plan key '{key}'"):
+            parse_plan(f"runs_per_dataset = 3\n{key} = 4\n")
 
     def test_bad_dataset_line(self):
         with pytest.raises(ValueError, match="dataset"):
@@ -345,3 +353,78 @@ def test_response_log_golden(bundled_logs, dataset, seed):
     for r in records:
         digest.update(f"{r.cycle},{r.cell_id},{r.matched_value}\n".encode())
     assert (len(records), digest.hexdigest()) == RESPONSE_LOG_DIGESTS[dataset, seed]
+
+
+def snapshot(compartment) -> tuple:
+    return (list(compartment._store), compartment.get_signal("cpu"),
+            compartment.antigen_added_total, compartment.signals_set_total)
+
+
+def per_event_feed(log, tissue_params, twocell_params, seed, tail_time):
+    """Reference feed: one add_antigen or set_signal per record, each
+    record delivered before cycle k when its timestamp < k / cps."""
+    compartment = create_compartment(tissue_params, seed)
+    attach_twocell(compartment, twocell_params)
+    cps = tissue_params.cycles_per_second
+    records = log.records
+    idx = 0
+    snapshots = []
+    total_cycles = int(math.floor(log.duration * cps)) + 1 + int(round(tail_time * cps))
+    while compartment.cycle_count < total_cycles or idx < len(records):
+        horizon = (compartment.cycle_count + 1) / cps
+        while idx < len(records) and records[idx].timestamp < horizon:
+            record = records[idx]
+            if isinstance(record, SyscallEvent):
+                compartment.add_antigen(record.syscall_number, record.label)
+            else:
+                compartment.set_signal(record.signal_name, record.value)
+            idx += 1
+        snapshots.append(snapshot(compartment))
+        compartment.cycle()
+    return compartment, snapshots
+
+
+def window_edge_log():
+    """Overflowing windows, events on cycle boundaries, a signal between the
+    events of one window and one that set_signal clamps."""
+    labels = (Label.NORMAL, Label.ATTACK)
+    events = [SyscallEvent(0.001 * k, (5 * k) % 40, label=labels[k % 2]) for k in range(90)]
+    events += [SyscallEvent(0.2, 7), SyscallEvent(0.3, 8, label=Label.ATTACK)]
+    events += [SyscallEvent(0.5 + 0.0005 * k, k % 13) for k in range(70)]
+    clamped = SignalSample(0.55, "cpu", 1.0)
+    # a parsed sample is always in range; force one that set_signal must clamp
+    object.__setattr__(clamped, "value", 1.5)
+    samples = [SignalSample(0.0, "cpu", 0.4), SignalSample(0.0405, "cpu", 0.9),
+               SignalSample(0.2, "cpu", 0.1), clamped]
+    return merge_to_replay_log(events, samples, "edges")
+
+
+@pytest.mark.parametrize("source", ["edges", "success1"])
+def test_window_ingest_matches_per_event_feed(bundled_logs, monkeypatch, source):
+    log = window_edge_log() if source == "edges" else bundled_logs[source]
+    tissue = TissueParams(antigen_capacity=32)
+    seen = []
+
+    def recording_compartment(params, seed):
+        compartment = create_compartment(params, seed)
+        cycle = compartment.cycle
+        snapshots = []
+
+        def snapshot_then_cycle():
+            snapshots.append(snapshot(compartment))
+            return cycle()
+        compartment.cycle = snapshot_then_cycle
+        seen.append((compartment, snapshots))
+        return compartment
+
+    monkeypatch.setattr(aisd.harness, "create_compartment", recording_compartment)
+    responses = run_single_offline(log, tissue, TwocellParams(), seed=3, tail_time=2.0)
+    reference, expected = per_event_feed(log, tissue, TwocellParams(), 3, tail_time=2.0)
+    (compartment, snapshots), = seen
+    assert responses == reference.response_log
+    assert snapshots == expected
+    assert compartment.antigen_added_total == reference.antigen_added_total
+    assert compartment.antigen_added_total == len(log.syscall_events())
+    assert max(len(store) for store, *_ in expected) == 32  # windows overflowed
+    if source == "edges":
+        assert [level for _, level, *_ in expected[:6]] == [0.9, 0.9, 0.1, 0.1, 0.1, 1.0]

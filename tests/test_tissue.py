@@ -13,7 +13,7 @@ from aisd.tissue import (
     parse_kv_text,
     tissue_params_from_kv,
 )
-from aisd.trace_model import SYSCALL_RANGE, Label
+from aisd.trace_model import SYSCALL_RANGE, Label, SyscallEvent
 from aisd.twocell import TwocellParams, attach_twocell
 
 
@@ -100,6 +100,35 @@ class TestInputs:
             comp.add_antigen(value)
         assert comp.antigen_count() == 3
         assert comp._store[0][0] == 11
+
+    def test_label_string_converted(self):
+        comp = create_compartment(seed=1)
+        comp.add_antigen(5, "attack")
+        comp.add_antigen(6, Label.NORMAL)
+        assert list(comp._store) == [(5, Label.ATTACK), (6, Label.NORMAL)]
+        assert comp._store[0][1] is Label.ATTACK
+        with pytest.raises(ValueError, match="'bogus' is not a valid Label"):
+            comp.add_antigen(7, "bogus")
+        assert comp.antigen_added_total == 2
+
+    @pytest.mark.parametrize("batches", [[5], [3, 0, 4], [12], [2, 9, 1]])
+    def test_add_events_equals_add_antigen(self, batches):
+        events = [
+            SyscallEvent(0.01 * k, k % 11, label=Label.ATTACK if k % 3 else Label.NORMAL)
+            for k in range(sum(batches))
+        ]
+        one_by_one = create_compartment(TissueParams(antigen_capacity=4), seed=1)
+        batched = create_compartment(TissueParams(antigen_capacity=4), seed=1)
+        start = 0
+        for size in batches:
+            batch = events[start:start + size]
+            start += size
+            for event in batch:
+                one_by_one.add_antigen(event.syscall_number, event.label)
+            batched.add_events(batch)
+            assert list(batched._store) == list(one_by_one._store)
+            assert batched.antigen_added_total == one_by_one.antigen_added_total
+        assert batched.antigen_added_total == len(events)
 
 
 class TestPopulate:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import math
+import random
 from collections import Counter
 
 import pytest
@@ -205,11 +207,78 @@ class TestReplayLogFormat:
         with pytest.raises(ReplayLogFormatError, match="line 1"):
             parse_replay_log("Z 0.1 what 1\n")
 
+    def test_bad_label_message(self):
+        with pytest.raises(
+            ReplayLogFormatError, match="^line 2: 'bogus' is not a valid Label$"
+        ):
+            parse_replay_log("# scenario demo\nA 0.1 5 bogus\n")
+
+    def test_out_of_order_file_equals_sorted_merge(self):
+        events = [
+            SyscallEvent(0.25 * k, k % 7, label=Label.ATTACK if k % 3 else Label.NORMAL)
+            for k in range(40)
+        ]
+        # every fourth sample shares its timestamp with an event; all values
+        # survive the file's six decimals exactly
+        samples = [SignalSample(0.25 * k + (0.0 if k % 4 == 0 else 0.125), "cpu", k / 40)
+                   for k in range(40)]
+        expected = merge_to_replay_log(events, samples, "demo")
+        lines = format_replay_log(expected).splitlines()
+        body = lines[1:]
+        random.Random(7).shuffle(body)
+        # antigen ahead of the signal it ties with, as a foreign writer might put it
+        body.sort(key=lambda line: line.startswith("S"))
+        text = "\n".join([lines[0], *body]) + "\n"
+        parsed = parse_replay_log(text)
+        assert parsed.records == expected.records
+        ties = [(a, b) for a, b in zip(parsed.records, parsed.records[1:])
+                if a.timestamp == b.timestamp]
+        assert ties and all(
+            isinstance(a, SignalSample) and isinstance(b, SyscallEvent) for a, b in ties
+        )
+
+    def test_antigen_before_signal_on_tie_is_sorted(self):
+        parsed = parse_replay_log("A 0.5 4 normal\nA 1.0 5 normal\nS 1.0 cpu 0.5\n")
+        assert [type(r) for r in parsed.records] == [SyscallEvent, SignalSample, SyscallEvent]
+
+    def test_in_order_file_keeps_file_order_of_equal_keys(self):
+        parsed = parse_replay_log("A 1.0 7 normal\nA 1.0 5 normal\nA 1.0 6 attack\n")
+        assert [r.syscall_number for r in parsed.records] == [7, 5, 6]
+
+
+class TestNonFiniteTimestamps:
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "-0.5"])
+    def test_replay_log(self, token):
+        with pytest.raises(ReplayLogFormatError, match="^line 3: timestamp must be finite"):
+            parse_replay_log(f"# scenario x\nA 0.0 5 normal\nA {token} 6 normal\n")
+        with pytest.raises(ReplayLogFormatError, match="^line 2: timestamp must be finite"):
+            parse_replay_log(f"S 0.0 cpu 0.5\nS {token} cpu 0.5\n")
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-1.0"])
+    def test_strace(self, token):
+        text = f'0.000000 open("/etc/passwd", O_RDONLY) = 3\n{token} close(3) = 0\n'
+        with pytest.raises(StraceParseError, match="^line 2: timestamp must be finite"):
+            parse_strace_log(text)
+
+    @pytest.mark.parametrize("token", ["nan", "inf"])
+    def test_monitor(self, token):
+        with pytest.raises(MonitorParseError, match="^line 2: timestamp must be finite"):
+            parse_monitor_log(f"0.0 proc 1 5.0 100\n{token} proc 1 5.0 100\n")
+        with pytest.raises(MonitorParseError, match="^line 1: cpu reading must be finite"):
+            parse_monitor_log(f"0.0 proc 1 {token} 100\n")
+
 
 class TestValidation:
     def test_negative_timestamp(self):
         with pytest.raises(ValueError):
             SyscallEvent(-0.1, 5)
+
+    @pytest.mark.parametrize("timestamp", [math.nan, math.inf, -math.inf])
+    def test_non_finite_timestamp(self, timestamp):
+        with pytest.raises(ValueError, match="finite"):
+            SyscallEvent(timestamp, 5)
+        with pytest.raises(ValueError, match="finite"):
+            SignalSample(timestamp, "cpu", 0.5)
 
     def test_syscall_out_of_range(self):
         with pytest.raises(ValueError):
@@ -218,3 +287,24 @@ class TestValidation:
     def test_signal_out_of_range(self):
         with pytest.raises(ValueError):
             SignalSample(0.0, "cpu", 1.5)
+
+
+class TestSlottedRecords:
+    @pytest.mark.parametrize(
+        "record, field, value",
+        [(SyscallEvent(1.5, 5, label=Label.ATTACK), "syscall_number", 6),
+         (SignalSample(1.5, "cpu", 0.25), "value", 0.5)],
+    )
+    def test_frozen_equal_hashable_replaceable(self, record, field, value):
+        assert not hasattr(record, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, field, value)
+        twin = dataclasses.replace(record)
+        assert twin == record and twin is not record
+        assert hash(twin) == hash(record)
+        assert len({record, twin}) == 1
+        changed = dataclasses.replace(record, **{field: value})
+        assert getattr(changed, field) == value and changed != record
+        assert changed.timestamp == record.timestamp
+        with pytest.raises(ValueError, match="finite"):
+            dataclasses.replace(record, timestamp=math.nan)

@@ -154,6 +154,22 @@ class TestServer:
         finally:
             sock.close()
 
+    def test_finished_session_threads_pruned(self, server, compartment):
+        # one connection at a time, each closed by the server after BYE
+        for k in range(30):
+            sock = client_socket(server)
+            try:
+                send_lines(sock, "HELLO 1 antigen", "ANTIGEN 5 normal", "BYE")
+                sock.settimeout(5)
+                assert sock.recv(64) == b""
+            finally:
+                sock.close()
+            assert wait_until(lambda: not server._sessions)
+            # the accept thread, this session's and at most the one before it
+            assert len(server._threads) <= 3
+        assert compartment.antigen_added_total == 30
+        assert server._accept_thread in server._threads
+
     def test_server_survives_bad_client(self, server, compartment):
         bad = client_socket(server)
         send_lines(bad, "NONSENSE")

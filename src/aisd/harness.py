@@ -6,8 +6,9 @@ and keeps the detector running for a tail period.  The offline path feeds
 the same records straight into a fresh compartment with a fixed
 events-to-cycles interleaving (no sockets, no pacing), which makes whole
 experiments deterministic per seed and much faster than realtime.  It
-ingests by window: the records due before a cycle are found by bisection,
-their signals set in order and their syscall events added in one
+ingests by window, straight from the replay log's columns: bisecting each
+kind's time column finds the records due before a cycle, whose signals are
+set in order and whose syscall numbers and labels are added in one
 ``Compartment.add_events`` call.
 
 Output layout per experiment directory:
@@ -48,13 +49,7 @@ from .tissue import (
     parse_kv_text,
     tissue_params_from_kv,
 )
-from .trace_model import (
-    DatasetStats,
-    ReplayLog,
-    SyscallEvent,
-    dataset_stats,
-    read_replay_log,
-)
+from .trace_model import DatasetStats, ReplayLog, dataset_stats, read_replay_log
 from .twocell import TwocellParams, attach_twocell
 from .twocell import params_from_kv as twocell_params_from_kv
 from .wire import ReplayConfig, TissueServer, replay
@@ -204,31 +199,29 @@ def run_single_offline(
 
     All records with timestamp < k / cycles_per_second are delivered before
     cycle k; after the last record the compartment keeps cycling for the
-    tail period.  Each window's signal samples are set in order and its
+    tail period.  Each window's signal samples are set in order, then its
     syscall events added with one ``add_events`` call, which leaves the
     store as one ``add_antigen`` per event would.
     """
     compartment = create_compartment(tissue_params, seed)
     attach_twocell(compartment, twocell_params)
     cps = tissue_params.cycles_per_second
-    records = log.records
-    stamps = [r.timestamp for r in records]
-    n_records = len(records)
-    idx = 0
+    event_times, numbers, labels = log.event_times, log.event_numbers, log.event_labels
+    signal_times, names, values = log.signal_times, log.signal_names, log.signal_values
+    n_events, n_signals = len(event_times), len(signal_times)
+    e = s = 0
     total_cycles = int(math.floor(log.duration * cps)) + 1 + int(round(tail_time * cps))
-    while compartment.cycle_count < total_cycles or idx < n_records:
+    while compartment.cycle_count < total_cycles or e < n_events or s < n_signals:
         horizon = (compartment.cycle_count + 1) / cps
-        if idx < n_records and stamps[idx] < horizon:
-            end = bisect_left(stamps, horizon, idx + 1)
-            events = []
-            for record in records[idx:end]:
-                if isinstance(record, SyscallEvent):
-                    events.append(record)
-                else:
-                    compartment.set_signal(record.signal_name, record.value)
-            if events:  # many windows hold only a signal sample
-                compartment.add_events(events)
-            idx = end
+        if s < n_signals and signal_times[s] < horizon:
+            end = bisect_left(signal_times, horizon, s + 1)
+            for k in range(s, end):
+                compartment.set_signal(names[k], values[k])
+            s = end
+        if e < n_events and event_times[e] < horizon:
+            end = bisect_left(event_times, horizon, e + 1)
+            compartment.add_events(numbers[e:end], labels[e:end])
+            e = end
         compartment.cycle()
     return compartment.response_log
 

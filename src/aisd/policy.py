@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .tissue import ResponseRecord
-from .trace_model import DEFAULT_TABLE, Label, ReplayLog, SyscallTable, event_antigen
+from .trace_model import DEFAULT_TABLE, Label, ReplayLog, SyscallTable
 
 
 class PolicyProvenance(str, enum.Enum):
@@ -79,13 +79,12 @@ def naive_policy(normal_logs: Sequence[ReplayLog]) -> SyscallPolicy:
     permitted: set[int] = set()
     sources = []
     for log in normal_logs:
-        for event in log.syscall_events():
-            if event.label is Label.ATTACK:
-                raise ValueError(
-                    f"log {log.scenario_name!r} contains attack-labeled events; "
-                    "a naive policy is defined over normal usage only"
-                )
-            permitted.add(event.syscall_number)
+        if Label.ATTACK in log.event_labels:
+            raise ValueError(
+                f"log {log.scenario_name!r} contains attack-labeled events; "
+                "a naive policy is defined over normal usage only"
+            )
+        permitted.update(log.event_numbers)
         sources.append(log.scenario_name)
     return SyscallPolicy(frozenset(permitted), PolicyProvenance.NAIVE, tuple(sources))
 
@@ -116,11 +115,13 @@ def average_policy(policies: Sequence[SyscallPolicy]) -> SyscallPolicy:
 
 
 def evaluate(policy: SyscallPolicy, log: ReplayLog) -> EvaluationRow:
-    """Classify every event by policy membership of its syscall number."""
-    # one pass to count (syscall_number, label) pairs; at most 2 x 512 keys
-    counts = Counter(map(event_antigen, log.syscall_events()))
+    """Classify every event by policy membership of its syscall number.
+
+    Sums over the log's ``antigen_counts``, at most 2 x 512 pairs, which the
+    log counts once however many policies are evaluated against it.
+    """
     total = normal = attack = permit = 0
-    for (number, label), count in counts.items():
+    for (number, label), count in log.antigen_counts:
         total += count
         if label is Label.ATTACK:
             attack += count

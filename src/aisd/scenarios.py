@@ -16,14 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .trace_model import (
-    DEFAULT_TABLE,
-    Label,
-    ReplayLog,
-    SignalSample,
-    SyscallEvent,
-    merge_to_replay_log,
-)
+from .trace_model import DEFAULT_TABLE, SYSCALL_RANGE, Label, ReplayLog, sort_by_time
 
 
 class ScenarioKind(str, enum.Enum):
@@ -95,6 +88,9 @@ class ScenarioProfile:
             raise ValueError("attack_novel_fraction must be within [0, 1]")
         if self.attack_novel_fraction > 0 and not self.attack_novel:
             raise ValueError("attack_novel_fraction set but no novel syscalls given")
+        for number in (*self.vocabulary, *self.attack_novel):
+            if not 0 <= number < SYSCALL_RANGE:
+                raise ValueError(f"syscall number {number} outside [0, {SYSCALL_RANGE})")
 
 
 class InfeasibleProfile(ValueError):
@@ -156,10 +152,16 @@ def _cpu_level(t: float, bursts: list[tuple[int, int]]) -> float:
 
 
 def synthesize_scenario(profile: ScenarioProfile) -> ReplayLog:
-    """Generate a labeled replay log; deterministic for a given seed."""
+    """Generate a labeled replay log; deterministic for a given seed.
+
+    Events are drawn burst by burst into time, number and label columns,
+    then stably sorted by time; CPU samples come out in time order.
+    """
     occupied = _burst_seconds(profile)
     rng = random.Random(profile.seed)
-    events: list[SyscallEvent] = []
+    times: list[float] = []
+    numbers: list[int] = []
+    labels: list[Label] = []
     cpu_bursts: list[tuple[int, int]] = []
 
     def burst_times(second: int, count: int) -> list[float]:
@@ -168,7 +170,7 @@ def synthesize_scenario(profile: ScenarioProfile) -> ReplayLog:
     def add_normal_burst(second: int, count: int, cover_vocabulary: bool) -> None:
         if count == 0:
             return
-        times = burst_times(second, count)
+        burst = burst_times(second, count)
         values: list[int] = []
         if cover_vocabulary:
             head = list(profile.vocabulary)[: count]
@@ -176,19 +178,19 @@ def synthesize_scenario(profile: ScenarioProfile) -> ReplayLog:
             values.extend(head)
         while len(values) < count:
             values.append(rng.choice(profile.vocabulary))
-        events.extend(
-            SyscallEvent(t, v, label=Label.NORMAL) for t, v in zip(times, values)
-        )
+        times.extend(burst)
+        numbers.extend(values)
+        labels.extend([Label.NORMAL] * count)
         cpu_bursts.append((second, count))
 
     def add_attack_burst(second: int, count: int) -> None:
-        times = burst_times(second, count)
-        for t in times:
+        times.extend(burst_times(second, count))
+        for _ in range(count):
             if rng.random() < profile.attack_novel_fraction:
-                value = rng.choice(profile.attack_novel)
+                numbers.append(rng.choice(profile.attack_novel))
             else:
-                value = rng.choice(profile.vocabulary)
-            events.append(SyscallEvent(t, value, label=Label.ATTACK))
+                numbers.append(rng.choice(profile.vocabulary))
+        labels.extend([Label.ATTACK] * count)
         cpu_bursts.append((second, count))
 
     add_normal_burst(0, profile.startup_burst, cover_vocabulary=True)
@@ -201,14 +203,15 @@ def synthesize_scenario(profile: ScenarioProfile) -> ReplayLog:
     if profile.shutdown_burst is not None:
         add_normal_burst(profile.duration - 1, profile.shutdown_burst, cover_vocabulary=False)
 
-    events.sort(key=lambda e: e.timestamp)
     cpu_bursts.sort()
-
-    samples = [
-        SignalSample(k / 10.0, "cpu", round(_cpu_level(k / 10.0, cpu_bursts), 6))
-        for k in range(1, profile.duration * 10 + 1)
-    ]
-    return merge_to_replay_log(events, samples, profile.name)
+    signal_times = tuple(k / 10.0 for k in range(1, profile.duration * 10 + 1))
+    return ReplayLog(
+        profile.name,
+        *sort_by_time(times, numbers, labels),
+        signal_times,
+        ("cpu",) * len(signal_times),
+        tuple(round(_cpu_level(t, cpu_bursts), 6) for t in signal_times),
+    )
 
 
 def _profile(name: str, kind: ScenarioKind, **kwargs) -> ScenarioProfile:

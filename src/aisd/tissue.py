@@ -16,9 +16,10 @@ draw, without a Python frame per draw.
 External writers (wire sessions) may add antigen and set signals
 concurrently with a cycling thread; individual writes are atomic and become
 visible no later than the start of the next cycle.  ``add_antigen`` adds one
-antigen (a wire frame); ``add_events`` adds a batch of syscall events, such as
-an offline run's window of events between two cycles, in one locked
-``deque.extend``.
+antigen (a wire frame); ``add_events`` adds a batch given as syscall-number
+and label columns, such as an offline run's window of events between two
+cycles, in one locked ``deque.extend``.  Both count the antigen they add and
+the oldest antigen the bounded store drops to make room.
 """
 from __future__ import annotations
 
@@ -35,7 +36,7 @@ from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import twocell
-from .trace_model import DEFAULT_TABLE, Label, SyscallEvent, SyscallTable, event_antigen
+from .trace_model import DEFAULT_TABLE, Label, SyscallTable
 
 logger = logging.getLogger(__name__)
 
@@ -81,6 +82,7 @@ class Compartment:
         self.cycle_count = 0
         self.response_log: list[ResponseRecord] = []
         self.antigen_added_total = 0
+        self.antigen_dropped_total = 0
         self.signals_set_total = 0
         self.twocell: twocell.TwoCellState | None = None
         # bounded store: at capacity, append drops the oldest antigen
@@ -111,19 +113,27 @@ class Compartment:
         if not isinstance(label, Label):
             label = Label(label)
         with self._lock:
-            self._store.append((value, label))
+            store = self._store
+            if len(store) == store.maxlen:
+                self.antigen_dropped_total += 1
+            store.append((value, label))
             self.antigen_added_total += 1
 
-    def add_events(self, events: Sequence[SyscallEvent]) -> None:
-        """Add each event's (syscall_number, label) as antigen, in order.
+    def add_events(self, numbers: Sequence[int], labels: Sequence[Label]) -> None:
+        """Add each (numbers[k], labels[k]) as antigen, in order.
 
-        The same store state as one ``add_antigen`` per event: at capacity
-        the oldest antigen is dropped for each one added.  Events were
-        validated when they were built, so nothing is checked again.
+        The same store state and counters as one ``add_antigen`` per pair:
+        at capacity the oldest antigen is dropped for each one added.  The
+        columns come from a validated replay log, so nothing is checked
+        again.
         """
         with self._lock:
-            self._store.extend(map(event_antigen, events))
-            self.antigen_added_total += len(events)
+            store = self._store
+            kept = len(store)
+            store.extend(zip(numbers, labels))
+            added = len(numbers)
+            self.antigen_added_total += added
+            self.antigen_dropped_total += kept + added - len(store)
 
     def set_signal(self, name: str, level: float) -> None:
         if name not in self._signals:

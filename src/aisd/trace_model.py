@@ -1,8 +1,10 @@
 """Trace records, log parsers, dataset statistics and the syscall number table.
 
 The records here are the raw material of every other module: timestamped
-syscall events (antigen) and context signal samples (CPU usage), merged into
-a single time-ordered replay log per scenario.
+syscall events (antigen) and context signal samples (CPU usage).  A
+scenario's replay log holds them as two groups of parallel columns, one per
+kind, each sorted by time; ``ReplayLog.records`` merges them into one
+time-ordered stream of ``SyscallEvent``/``SignalSample`` records on demand.
 """
 from __future__ import annotations
 
@@ -10,9 +12,12 @@ import enum
 import logging
 import math
 import re
+from bisect import bisect_left
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import attrgetter
+from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable
 
@@ -46,8 +51,8 @@ class ReplayLogFormatError(TraceError):
     pass
 
 
-# value -> member, so parsers skip the enum call on valid labels
-_LABELS = {label.value: label for label in Label}
+# value -> member, so parsers and the wire decoder skip the enum call on valid labels
+LABELS = {label.value: label for label in Label}
 
 
 def _check_timestamp(timestamp: float) -> None:
@@ -75,10 +80,6 @@ class SyscallEvent:
             raise ValueError(f"pid must be >= 0, got {self.pid}")
 
 
-# (syscall_number, label) of a SyscallEvent: the antigen a compartment stores
-event_antigen = attrgetter("syscall_number", "label")
-
-
 @dataclass(frozen=True, slots=True)
 class SignalSample:
     """One context-signal reading, normalized to [0, 1]."""
@@ -96,32 +97,120 @@ class SignalSample:
 Record = SyscallEvent | SignalSample
 
 
+def sort_by_time(times: Sequence[float], *columns: Sequence) -> tuple[tuple, ...]:
+    """``times`` and its parallel columns as tuples, stably sorted by time:
+    entries with equal times keep their order."""
+    order = sorted(range(len(times)), key=times.__getitem__)
+    return tuple(tuple(map(column.__getitem__, order)) for column in (times, *columns))
+
+
+def _interleave(
+    event_items: Sequence, signal_items: Sequence,
+    event_times: Sequence[float], signal_times: Sequence[float],
+) -> list:
+    """Both kinds' items in merged time order; a signal goes before the
+    events that share its timestamp."""
+    merged: list = []
+    start = 0
+    for item, timestamp in zip(signal_items, signal_times):
+        end = bisect_left(event_times, timestamp, start)
+        merged.extend(event_items[start:end])
+        merged.append(item)
+        start = end
+    merged.extend(event_items[start:])
+    return merged
+
+
 @dataclass(frozen=True)
 class ReplayLog:
-    """A merged, time-ordered stream of syscall events and signal samples.
+    """A scenario's syscall events and signal samples as per-kind columns.
 
-    Records are sorted by timestamp; at equal timestamps signal samples
-    precede syscall events so consumers always see the freshest signal
-    context before the antigen that arrived with it.
+    Events are ``event_times``, ``event_numbers`` and ``event_labels``;
+    signals are ``signal_times``, ``signal_names`` and ``signal_values``.
+    Each kind is sorted by timestamp, entries with equal timestamps in file
+    (or input) order.  Merged, signal samples precede syscall events at
+    equal timestamps, so consumers always see the freshest signal context
+    before the antigen that arrived with it.  Columns are trusted: whoever
+    builds them has validated every entry.
     """
 
     scenario_name: str
-    records: tuple[Record, ...]
+    event_times: tuple[float, ...]
+    event_numbers: tuple[int, ...]
+    event_labels: tuple[Label, ...]
+    signal_times: tuple[float, ...]
+    signal_names: tuple[str, ...]
+    signal_values: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if not len(self.event_times) == len(self.event_numbers) == len(self.event_labels):
+            raise ValueError("event columns differ in length")
+        if not len(self.signal_times) == len(self.signal_names) == len(self.signal_values):
+            raise ValueError("signal columns differ in length")
 
     @property
     def duration(self) -> float:
-        if not self.records:
-            return 0.0
-        return max(r.timestamp for r in self.records)
+        return max(self.event_times[-1:] + self.signal_times[-1:], default=0.0)
+
+    @property
+    def records(self) -> ReplayRecords:
+        """Every record in merged time order, built on access."""
+        return ReplayRecords(self)
+
+    @cached_property
+    def merged_order(self) -> list[int]:
+        """Position by position, k >= 0 for event k and ~k for signal k."""
+        return _interleave(
+            range(len(self.event_times)), range(-1, -len(self.signal_times) - 1, -1),
+            self.event_times, self.signal_times,
+        )
+
+    @cached_property
+    def antigen_counts(self) -> tuple[tuple[tuple[int, Label], int], ...]:
+        """``((syscall_number, label), count)`` per distinct pair of the log."""
+        return tuple(Counter(zip(self.event_numbers, self.event_labels)).items())
 
     def syscall_events(self) -> list[SyscallEvent]:
-        return [r for r in self.records if isinstance(r, SyscallEvent)]
+        return list(map(
+            SyscallEvent, self.event_times, self.event_numbers, repeat(None), self.event_labels
+        ))
 
     def signal_samples(self) -> list[SignalSample]:
-        return [r for r in self.records if isinstance(r, SignalSample)]
+        return list(map(SignalSample, self.signal_times, self.signal_names, self.signal_values))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.event_times) + len(self.signal_times)
+
+
+class ReplayRecords(Sequence):
+    """Read-only view of a replay log's records in merged time order.
+
+    Its length needs no records; a record is built from the columns each
+    time it is read.
+    """
+
+    __slots__ = ("_log",)
+
+    def __init__(self, log: ReplayLog):
+        self._log = log
+
+    def __len__(self) -> int:
+        return len(self._log)
+
+    def __getitem__(self, index: int | slice) -> Record | tuple[Record, ...]:
+        if isinstance(index, slice):
+            return tuple(map(self.__getitem__, range(*index.indices(len(self)))))
+        log = self._log
+        k = log.merged_order[index]
+        if k >= 0:
+            return SyscallEvent(log.event_times[k], log.event_numbers[k], None, log.event_labels[k])
+        k = ~k
+        return SignalSample(log.signal_times[k], log.signal_names[k], log.signal_values[k])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return tuple(self) == tuple(other)
 
 
 @dataclass(frozen=True)
@@ -534,20 +623,27 @@ def parse_monitor_log(
 # Merging and statistics
 # ---------------------------------------------------------------------------
 
-def _record_rank(record: Record) -> int:
-    # signal before antigen on timestamp ties
-    return 0 if isinstance(record, SignalSample) else 1
-
-
 def merge_to_replay_log(
     events: Iterable[SyscallEvent],
     samples: Iterable[SignalSample],
     name: str,
 ) -> ReplayLog:
-    """Merge individually ordered event and sample streams into one log."""
-    combined: list[Record] = [*samples, *events]
-    combined.sort(key=lambda r: (r.timestamp, _record_rank(r)))
-    return ReplayLog(scenario_name=name, records=tuple(combined))
+    """Columns of the events and samples, each kind stably sorted by time."""
+    events = list(events)
+    samples = list(samples)
+    return ReplayLog(
+        name,
+        *sort_by_time(
+            [e.timestamp for e in events],
+            [e.syscall_number for e in events],
+            [e.label for e in events],
+        ),
+        *sort_by_time(
+            [s.timestamp for s in samples],
+            [s.signal_name for s in samples],
+            [s.value for s in samples],
+        ),
+    )
 
 
 def dataset_stats(log: ReplayLog) -> DatasetStats:
@@ -555,15 +651,13 @@ def dataset_stats(log: ReplayLog) -> DatasetStats:
 
     The peak rate uses fixed integer-aligned windows [k, k+1).
     """
-    events = log.syscall_events()
-    if not log.records:
+    if not len(log):
         return DatasetStats(0, 0, 0)
-    per_second = Counter(int(math.floor(e.timestamp)) for e in events)
-    max_rate = max(per_second.values()) if per_second else 0
+    per_second = Counter(map(math.floor, log.event_times))
     return DatasetStats(
         total_time=int(math.ceil(log.duration)),
-        total_antigen=len(events),
-        max_antigen_rate=max_rate,
+        total_antigen=len(log.event_times),
+        max_antigen_rate=max(per_second.values(), default=0),
     )
 
 
@@ -577,12 +671,16 @@ def dataset_stats(log: ReplayLog) -> DatasetStats:
 #   S <timestamp> <signal_name> <value>
 
 def format_replay_log(log: ReplayLog) -> str:
+    events = [
+        f"A {t:.6f} {number} {label.value}"
+        for t, number, label in zip(log.event_times, log.event_numbers, log.event_labels)
+    ]
+    signals = [
+        f"S {t:.6f} {name} {value:.6f}"
+        for t, name, value in zip(log.signal_times, log.signal_names, log.signal_values)
+    ]
     lines = [f"# scenario {log.scenario_name}"]
-    for rec in log.records:
-        if isinstance(rec, SyscallEvent):
-            lines.append(f"A {rec.timestamp:.6f} {rec.syscall_number} {rec.label.value}")
-        else:
-            lines.append(f"S {rec.timestamp:.6f} {rec.signal_name} {rec.value:.6f}")
+    lines += _interleave(events, signals, log.event_times, log.signal_times)
     return "\n".join(lines) + "\n"
 
 
@@ -591,52 +689,76 @@ def write_replay_log(log: ReplayLog, path: str | Path) -> None:
 
 
 def parse_replay_log(text: str, default_name: str = "unnamed") -> ReplayLog:
-    """Parse the replay-log format in one pass.
+    """Parse the replay-log format in one pass, straight into columns.
 
-    Records out of (timestamp, signal-before-antigen) order are sorted; a
-    file already in order, as ``write_replay_log`` writes it, is not.
+    Each line is checked as ``SyscallEvent``/``SignalSample`` would check
+    it.  A kind whose lines are out of time order is stably sorted; a file
+    in order, as ``write_replay_log`` writes it, is not.
     """
     name = default_name
-    records: list[Record] = []
-    append = records.append
-    in_order = True
-    last_ts = 0.0
-    last_rank = 0
+    event_times: list[float] = []
+    event_numbers: list[int] = []
+    event_labels: list[Label] = []
+    signal_times: list[float] = []
+    signal_names: list[str] = []
+    signal_values: list[float] = []
+    add_time = event_times.append
+    add_number = event_numbers.append
+    add_label = event_labels.append
+    events_in_order = signals_in_order = True
+    last_event = last_signal = 0.0
+    inf = math.inf
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split()
         if not parts:
             continue
         kind = parts[0]
-        if kind[0] == "#":
-            parts = raw.strip()[1:].split()
-            if len(parts) >= 2 and parts[0] == "scenario":
-                name = parts[1]
-            continue
         try:
             if kind == "A" and len(parts) == 4:
                 token = parts[3]
-                label = _LABELS.get(token) or Label(token)
+                label = LABELS.get(token) or Label(token)
                 ts = float(parts[1])
-                append(SyscallEvent(ts, int(parts[2]), None, label))
-                rank = 1
+                number = int(parts[2])
+                if not 0.0 <= ts < inf:
+                    raise ValueError(f"timestamp must be finite and >= 0, got {ts}")
+                if not 0 <= number < SYSCALL_RANGE:
+                    raise ValueError(f"syscall number {number} outside [0, {SYSCALL_RANGE})")
+                if ts < last_event:
+                    events_in_order = False
+                last_event = ts
+                add_time(ts)
+                add_number(number)
+                add_label(label)
             elif kind == "S" and len(parts) == 4:
                 ts = float(parts[1])
-                append(SignalSample(ts, parts[2], float(parts[3])))
-                rank = 0
+                value = float(parts[3])
+                if not 0.0 <= ts < inf:
+                    raise ValueError(f"timestamp must be finite and >= 0, got {ts}")
+                if not 0.0 <= value <= 1.0:
+                    raise ValueError(f"signal value {value} outside [0, 1]")
+                if ts < last_signal:
+                    signals_in_order = False
+                last_signal = ts
+                signal_times.append(ts)
+                signal_names.append(parts[2])
+                signal_values.append(value)
+            elif kind[0] == "#":
+                parts = raw.strip()[1:].split()
+                if len(parts) >= 2 and parts[0] == "scenario":
+                    name = parts[1]
             else:
                 raise ReplayLogFormatError(f"line {lineno}: unrecognized record {raw!r}")
         except ReplayLogFormatError:
             raise
         except ValueError as exc:
             raise ReplayLogFormatError(f"line {lineno}: {exc}") from None
-        if ts < last_ts or (ts == last_ts and rank < last_rank):
-            in_order = False
-        last_ts = ts
-        last_rank = rank
-    if not in_order:
-        # stable, so records with equal keys keep their file order
-        records.sort(key=lambda r: (r.timestamp, _record_rank(r)))
-    return ReplayLog(scenario_name=name, records=tuple(records))
+    events = (event_times, event_numbers, event_labels)
+    signals = (signal_times, signal_names, signal_values)
+    return ReplayLog(
+        name,
+        *(map(tuple, events) if events_in_order else sort_by_time(*events)),
+        *(map(tuple, signals) if signals_in_order else sort_by_time(*signals)),
+    )
 
 
 def read_replay_log(path: str | Path) -> ReplayLog:

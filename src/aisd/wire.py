@@ -10,7 +10,11 @@ The wire format is newline-delimited ASCII, one message per line:
     BYE
 
 Every session starts with HELLO; antigen/signal messages are only accepted
-from clients that declared the matching role.
+from clients that declared the matching role.  A frame is at most
+``MAX_FRAME_BYTES`` bytes, newline included.  The server reads bytes and
+decodes each line on its own: an oversized frame, a non-ASCII one or one cut
+off by the disconnect is a protocol error that closes the session, and the
+frames before it still apply.
 """
 from __future__ import annotations
 
@@ -25,11 +29,12 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .tissue import Compartment, ResponseRecord
-from .trace_model import SYSCALL_RANGE, Label, ReplayLog, SyscallEvent
+from .trace_model import LABELS, SYSCALL_RANGE, Label, ReplayLog, SyscallEvent
 
 logger = logging.getLogger(__name__)
 
 PROTOCOL_VERSION = 1
+MAX_FRAME_BYTES = 256
 VALID_ROLES = frozenset({"antigen", "signal", "response"})
 
 DEFAULT_HOST = os.environ.get("AISD_HOST", "127.0.0.1")
@@ -153,12 +158,11 @@ def decode(line: str | bytes) -> WireMessage:
         number = _int_field("ANTIGEN", 1, "syscall number", args[0])
         if number >= SYSCALL_RANGE:
             raise ProtocolError(f"ANTIGEN: field 1 (syscall number) must be < {SYSCALL_RANGE}")
-        try:
-            label = Label(args[1])
-        except ValueError:
+        label = LABELS.get(args[1])
+        if label is None:
             raise ProtocolError(
                 f"ANTIGEN: field 2 (label) must be normal or attack, got {args[1]!r}"
-            ) from None
+            )
         return WireMessage.antigen(number, label)
     if keyword == "SIGNAL":
         if len(args) != 2:
@@ -322,8 +326,12 @@ class TissueServer:
 
     def _serve_client(self, session: _Session) -> None:
         try:
-            with session.conn.makefile("r", encoding="ascii", newline="\n") as reader:
-                for raw in reader:
+            with session.conn.makefile("rb") as reader:
+                while raw := reader.readline(MAX_FRAME_BYTES):
+                    if raw[-1] != 10:  # b"\n"
+                        if len(raw) == MAX_FRAME_BYTES:
+                            raise ProtocolError(f"frame longer than {MAX_FRAME_BYTES} bytes")
+                        raise ProtocolError(f"frame cut off at disconnect: {raw!r}")
                     message = decode(raw)
                     self._dispatch(session, message)
                     if message.kind is MessageKind.BYE:

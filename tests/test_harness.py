@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import time
+from itertools import repeat
 from pathlib import Path
 
 import pytest
@@ -361,23 +362,26 @@ def snapshot(compartment) -> tuple:
 
 
 def per_event_feed(log, tissue_params, twocell_params, seed, tail_time):
-    """Reference feed: one add_antigen or set_signal per record, each
-    record delivered before cycle k when its timestamp < k / cps."""
+    """Reference feed: one add_antigen or set_signal per record, the log's
+    columns merged by a stable (timestamp, signal-first) sort, each record
+    delivered before cycle k when its timestamp < k / cps."""
     compartment = create_compartment(tissue_params, seed)
     attach_twocell(compartment, twocell_params)
     cps = tissue_params.cycles_per_second
-    records = log.records
+    records = [*zip(log.signal_times, repeat(0), log.signal_names, log.signal_values),
+               *zip(log.event_times, repeat(1), log.event_numbers, log.event_labels)]
+    records.sort(key=lambda record: record[:2])
     idx = 0
     snapshots = []
     total_cycles = int(math.floor(log.duration * cps)) + 1 + int(round(tail_time * cps))
     while compartment.cycle_count < total_cycles or idx < len(records):
         horizon = (compartment.cycle_count + 1) / cps
-        while idx < len(records) and records[idx].timestamp < horizon:
-            record = records[idx]
-            if isinstance(record, SyscallEvent):
-                compartment.add_antigen(record.syscall_number, record.label)
+        while idx < len(records) and records[idx][0] < horizon:
+            _, rank, key, value = records[idx]
+            if rank:
+                compartment.add_antigen(key, value)
             else:
-                compartment.set_signal(record.signal_name, record.value)
+                compartment.set_signal(key, value)
             idx += 1
         snapshots.append(snapshot(compartment))
         compartment.cycle()
@@ -391,12 +395,14 @@ def window_edge_log():
     events = [SyscallEvent(0.001 * k, (5 * k) % 40, label=labels[k % 2]) for k in range(90)]
     events += [SyscallEvent(0.2, 7), SyscallEvent(0.3, 8, label=Label.ATTACK)]
     events += [SyscallEvent(0.5 + 0.0005 * k, k % 13) for k in range(70)]
-    clamped = SignalSample(0.55, "cpu", 1.0)
-    # a parsed sample is always in range; force one that set_signal must clamp
-    object.__setattr__(clamped, "value", 1.5)
     samples = [SignalSample(0.0, "cpu", 0.4), SignalSample(0.0405, "cpu", 0.9),
-               SignalSample(0.2, "cpu", 0.1), clamped]
-    return merge_to_replay_log(events, samples, "edges")
+               SignalSample(0.2, "cpu", 0.1), SignalSample(0.55, "cpu", 1.0)]
+    log = merge_to_replay_log(events, samples, "edges")
+    # a parsed sample is always in range; force one that set_signal must clamp
+    values = list(log.signal_values)
+    values[log.signal_times.index(0.55)] = 1.5
+    object.__setattr__(log, "signal_values", tuple(values))
+    return log
 
 
 @pytest.mark.parametrize("source", ["edges", "success1"])

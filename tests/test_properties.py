@@ -14,7 +14,9 @@ from aisd.trace_model import (
     SignalSample,
     SyscallEvent,
     dataset_stats,
+    format_replay_log,
     merge_to_replay_log,
+    parse_replay_log,
 )
 from aisd.wire import WireMessage, decode, encode
 
@@ -75,6 +77,52 @@ def test_merge_preserves_counts_and_order(event_times, sample_times):
             assert not (
                 isinstance(first, SyscallEvent) and isinstance(second, SignalSample)
             )
+
+
+# timestamps and values that the file's six decimals keep exactly; few
+# distinct ones, so equal timestamps within and across kinds are common
+file_floats = st.integers(min_value=0, max_value=40).map(lambda k: k / 8)
+file_events = st.lists(
+    st.builds(SyscallEvent, file_floats, st.integers(min_value=0, max_value=511),
+              st.none(), st.sampled_from(list(Label))),
+    max_size=40,
+)
+file_samples = st.lists(
+    st.builds(SignalSample, file_floats, st.sampled_from(["cpu", "io"]),
+              st.integers(min_value=0, max_value=1000).map(lambda k: k / 1000)),
+    max_size=40,
+)
+
+
+def stable_merge(records):
+    """The merged order of a record list: stable by (timestamp, signal first)."""
+    return sorted(records, key=lambda r: (r.timestamp, isinstance(r, SyscallEvent)))
+
+
+def file_line(record) -> str:
+    if isinstance(record, SyscallEvent):
+        return f"A {record.timestamp:.6f} {record.syscall_number} {record.label.value}\n"
+    return f"S {record.timestamp:.6f} {record.signal_name} {record.value:.6f}\n"
+
+
+@given(file_events, file_samples, st.randoms(use_true_random=False))
+def test_replay_log_columns_round_trip(events, samples, rnd):
+    log = merge_to_replay_log(events, samples, "prop")
+    parsed = parse_replay_log(format_replay_log(log))
+    assert parsed == log  # name and every column
+    assert list(parsed.records) == stable_merge([*samples, *events])
+    assert len(parsed.records) == len(events) + len(samples)
+    # a file in any order: parsing it equals merging its records in file order
+    shuffled = [*events, *samples]
+    rnd.shuffle(shuffled)
+    from_file = parse_replay_log("# scenario prop\n" + "".join(map(file_line, shuffled)))
+    from_records = merge_to_replay_log(
+        [r for r in shuffled if isinstance(r, SyscallEvent)],
+        [r for r in shuffled if isinstance(r, SignalSample)],
+        "prop",
+    )
+    assert from_file == from_records
+    assert list(from_file.records) == stable_merge(shuffled)
 
 
 @given(timestamps)

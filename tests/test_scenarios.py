@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import math
 from collections import Counter
 
@@ -165,3 +167,29 @@ def test_profile_invariants():
             shutdown_burst=30, attack_bursts=(), interaction_events=0,
             duration=10, seed=1,
         )
+
+
+# sha256 of format_replay_log(synthesize_scenario(profile)), recorded before
+# replay logs became per-kind columns: synthesis and the file format must
+# not change a byte.
+FORMATTED_LOG_DIGESTS = {
+    "normal1": "08e25bfe5ecbedf6ba8b48c1d9fee50187db9c7697d718605a95d7b920c9a986",
+    "normal2": "e6632723bce528c278c5910042336d2fb7f7d83104e8c4aad5fee4390ab23ad9",
+    "success1": "cea53c5bab36dfa74a9581c9cb6f59338fc1dd04b938bab0151d26db7ca8278e",
+    "success2": "1139730a0388851c8ab53144d0c697b4571ebf02fce658e88026315b977786b9",
+    "failure1": "0babbc1fb75781dd18443cb78190f80d87f467a903bf6c09ee53fa2931c63bbf",
+    "failure2": "87a767fc6cec3a13d5392a49a544f186331d3b78e30c842846ca8e3e9ee0a848",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FORMATTED_LOG_DIGESTS))
+def test_formatted_log_golden(name):
+    text = format_replay_log(synthesize_scenario(BUNDLED_PROFILES[name]))
+    assert hashlib.sha256(text.encode()).hexdigest() == FORMATTED_LOG_DIGESTS[name]
+
+
+@pytest.mark.parametrize("field", ["vocabulary", "attack_novel"])
+def test_out_of_range_syscall_number_rejected(field):
+    base = BUNDLED_PROFILES["success1"]
+    with pytest.raises(ValueError, match=r"^syscall number 512 outside \[0, 512\)$"):
+        dataclasses.replace(base, **{field: (*getattr(base, field), 512)})

@@ -13,7 +13,7 @@ from aisd.tissue import (
     parse_kv_text,
     tissue_params_from_kv,
 )
-from aisd.trace_model import SYSCALL_RANGE, Label, SyscallEvent
+from aisd.trace_model import SYSCALL_RANGE, Label
 from aisd.twocell import TwocellParams, attach_twocell
 
 
@@ -113,22 +113,44 @@ class TestInputs:
 
     @pytest.mark.parametrize("batches", [[5], [3, 0, 4], [12], [2, 9, 1]])
     def test_add_events_equals_add_antigen(self, batches):
-        events = [
-            SyscallEvent(0.01 * k, k % 11, label=Label.ATTACK if k % 3 else Label.NORMAL)
-            for k in range(sum(batches))
-        ]
+        n = sum(batches)
+        numbers = tuple(k % 11 for k in range(n))
+        labels = tuple(Label.ATTACK if k % 3 else Label.NORMAL for k in range(n))
         one_by_one = create_compartment(TissueParams(antigen_capacity=4), seed=1)
         batched = create_compartment(TissueParams(antigen_capacity=4), seed=1)
         start = 0
         for size in batches:
-            batch = events[start:start + size]
-            start += size
-            for event in batch:
-                one_by_one.add_antigen(event.syscall_number, event.label)
-            batched.add_events(batch)
+            end = start + size
+            for number, label in zip(numbers[start:end], labels[start:end]):
+                one_by_one.add_antigen(number, label)
+            batched.add_events(numbers[start:end], labels[start:end])
+            start = end
             assert list(batched._store) == list(one_by_one._store)
             assert batched.antigen_added_total == one_by_one.antigen_added_total
-        assert batched.antigen_added_total == len(events)
+            assert batched.antigen_dropped_total == one_by_one.antigen_dropped_total
+        assert batched.antigen_added_total == n
+        assert batched.antigen_dropped_total == max(0, n - 4)
+
+    def test_dropped_antigen_counted(self):
+        # capacity 4: 3 fit, a batch of 10 drops 9, two draws make room for
+        # two more without a drop, then one more drops one
+        batches = [(3, 0, 0), (10, 0, 9), (0, 2, 9), (2, 0, 9), (1, 0, 10)]
+        single = create_compartment(TissueParams(antigen_capacity=4), seed=1)
+        batched = create_compartment(TissueParams(antigen_capacity=4), seed=1)
+        for size, draws, dropped in batches:
+            numbers = tuple(range(size))
+            labels = (Label.NORMAL,) * size
+            for number in numbers:
+                single.add_antigen(number)
+            batched.add_events(numbers, labels)
+            for _ in range(draws):
+                assert single.draw_antigen() == batched.draw_antigen()
+            assert single.antigen_dropped_total == batched.antigen_dropped_total == dropped
+            assert list(single._store) == list(batched._store)
+        assert batched.antigen_added_total == 16
+        assert batched.antigen_added_total == (
+            batched.antigen_dropped_total + 2 + batched.antigen_count()
+        )
 
 
 class TestPopulate:

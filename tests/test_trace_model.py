@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+import aisd.trace_model
 from aisd.trace_model import (
     DEFAULT_TABLE,
     Label,
@@ -177,7 +178,7 @@ def test_parse_then_merge_preserves_counts():
 
 class TestDatasetStats:
     def test_empty(self):
-        assert dataset_stats(ReplayLog("x", ())).as_tuple() == (0, 0, 0)
+        assert dataset_stats(ReplayLog("x", (), (), (), (), (), ())).as_tuple() == (0, 0, 0)
 
     def test_matches_brute_force(self):
         events = [SyscallEvent(t, 5) for t in (0.1, 0.2, 0.9, 1.1, 2.5, 2.6, 2.7)]
@@ -244,6 +245,83 @@ class TestReplayLogFormat:
     def test_in_order_file_keeps_file_order_of_equal_keys(self):
         parsed = parse_replay_log("A 1.0 7 normal\nA 1.0 5 normal\nA 1.0 6 attack\n")
         assert [r.syscall_number for r in parsed.records] == [7, 5, 6]
+
+
+class TestColumns:
+    def log(self):
+        events = [SyscallEvent(1.0, 7), SyscallEvent(0.5, 4, label=Label.ATTACK),
+                  SyscallEvent(1.0, 5)]
+        samples = [SignalSample(1.0, "cpu", 0.25), SignalSample(0.0, "cpu", 0.5)]
+        return merge_to_replay_log(events, samples, "cols")
+
+    def test_each_kind_sorted_stably(self):
+        log = self.log()
+        assert log.event_times == (0.5, 1.0, 1.0)
+        assert log.event_numbers == (4, 7, 5)
+        assert log.event_labels == (Label.ATTACK, Label.NORMAL, Label.NORMAL)
+        assert (log.signal_times, log.signal_values) == ((0.0, 1.0), (0.5, 0.25))
+        assert log.duration == 1.0
+        assert len(log) == 5
+
+    def test_records_view(self):
+        log = self.log()
+        records = log.records
+        assert log.merged_order == [-1, 0, -2, 1, 2]
+        assert [(type(r), r.timestamp) for r in records] == [
+            (SignalSample, 0.0), (SyscallEvent, 0.5), (SignalSample, 1.0),
+            (SyscallEvent, 1.0), (SyscallEvent, 1.0)]
+        assert records[-1] == SyscallEvent(1.0, 5)
+        assert records[1:3] == (SyscallEvent(0.5, 4, label=Label.ATTACK),
+                                SignalSample(1.0, "cpu", 0.25))
+        assert records == list(records) and records != list(records)[:-1]
+        with pytest.raises(IndexError):
+            records[5]
+        assert log.syscall_events() == [r for r in records if isinstance(r, SyscallEvent)]
+        assert log.signal_samples() == [r for r in records if isinstance(r, SignalSample)]
+
+    def test_len_builds_no_record(self, monkeypatch):
+        log = parse_replay_log("S 0.0 cpu 0.5\nA 0.5 4 normal\n")
+
+        def no_records(*args):
+            raise AssertionError("record built")
+        monkeypatch.setattr(aisd.trace_model, "SyscallEvent", no_records)
+        monkeypatch.setattr(aisd.trace_model, "SignalSample", no_records)
+        assert len(log.records) == len(log) == 2
+        assert dataset_stats(log).as_tuple() == (1, 1, 1)
+        with pytest.raises(AssertionError, match="record built"):
+            log.records[0]
+
+    def test_antigen_counts(self):
+        counts = dict(self.log().antigen_counts)
+        assert counts == {(4, Label.ATTACK): 1, (7, Label.NORMAL): 1, (5, Label.NORMAL): 1}
+
+    def test_column_lengths_checked(self):
+        with pytest.raises(ValueError, match="event columns"):
+            ReplayLog("x", (0.0,), (), (), (), (), ())
+        with pytest.raises(ValueError, match="signal columns"):
+            ReplayLog("x", (), (), (), (0.0,), ("cpu",), ())
+
+    def test_out_of_order_kind_sorted_alone(self):
+        parsed = parse_replay_log(
+            "S 2.0 cpu 0.5\nA 1.0 7 normal\nS 1.0 cpu 0.25\nA 3.0 5 attack\n"
+        )
+        assert parsed.signal_times == (1.0, 2.0) and parsed.signal_values == (0.25, 0.5)
+        assert parsed.event_times == (1.0, 3.0)
+        assert [r.timestamp for r in parsed.records] == [1.0, 1.0, 2.0, 3.0]
+        assert isinstance(parsed.records[0], SignalSample)
+
+    @pytest.mark.parametrize("line, message", [
+        ("A 0.1 512 normal", r"syscall number 512 outside \[0, 512\)"),
+        ("A 0.1 -1 normal", r"syscall number -1 outside \[0, 512\)"),
+        ("A 0.1 x normal", "invalid literal for int"),
+        ("A zz 5 normal", "could not convert string to float"),
+        ("S 0.1 cpu 1.5", r"signal value 1.5 outside \[0, 1\]"),
+        ("S 0.1 cpu nan", r"signal value nan outside \[0, 1\]"),
+        ("A 0.1 5", "unrecognized record"),
+    ])
+    def test_line_checks(self, line, message):
+        with pytest.raises(ReplayLogFormatError, match=f"^line 3: .*{message}"):
+            parse_replay_log(f"# scenario x\nS 0.0 cpu 0.5\n{line}\n")
 
 
 class TestNonFiniteTimestamps:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import socket
+import threading
 import time
 
 import pytest
@@ -9,6 +10,7 @@ from aisd.tissue import TissueParams, create_compartment
 from aisd.trace_model import Label, SignalSample, SyscallEvent, merge_to_replay_log
 from aisd.twocell import TwocellParams, attach_twocell
 from aisd.wire import (
+    MAX_FRAME_BYTES,
     MessageKind,
     ProtocolError,
     ReplayConfig,
@@ -153,6 +155,82 @@ class TestServer:
             assert compartment.antigen_added_total == 0
         finally:
             sock.close()
+
+    def test_non_ascii_frame_keeps_earlier_frames(self, server, compartment, monkeypatch,
+                                                   caplog):
+        uncaught = []
+        monkeypatch.setattr(threading, "excepthook", uncaught.append)
+        sock = client_socket(server)
+        try:
+            # one read: the valid frames ahead of the bad one still apply
+            sock.sendall(b"HELLO 1 antigen\nANTIGEN 5 normal\nANTIGEN 6 normal\n"
+                         b"\xff\xfe garbage\nANTIGEN 7 normal\n")
+            sock.settimeout(5)
+            assert sock.recv(64) == b""
+            assert compartment.antigen_added_total == 2
+            assert [value for value, _ in compartment._store] == [5, 6]
+        finally:
+            sock.close()
+        assert wait_until(lambda: not server._sessions)
+        assert uncaught == []
+        assert "protocol error: non-ASCII frame" in caplog.text
+
+    @pytest.mark.parametrize("extra, accepted", [(0, 2), (1, 1)])
+    def test_frame_length_cap(self, server, compartment, caplog, extra, accepted):
+        # padding puts the frame, newline included, at the cap or one byte over
+        frame = "ANTIGEN 6 normal"
+        padded = frame.replace(" ", " " * (MAX_FRAME_BYTES - len(frame) + extra), 1)
+        assert len(padded) + 1 == MAX_FRAME_BYTES + extra
+        sock = client_socket(server)
+        try:
+            send_lines(sock, "HELLO 1 antigen", "ANTIGEN 5 normal", padded, "BYE")
+            sock.settimeout(5)
+            assert sock.recv(64) == b""
+            assert compartment.antigen_added_total == accepted
+        finally:
+            sock.close()
+        if extra:
+            assert f"frame longer than {MAX_FRAME_BYTES} bytes" in caplog.text
+
+    def test_oversized_frame_without_newline(self, server, compartment):
+        sock = client_socket(server)
+        try:
+            send_lines(sock, "HELLO 1 antigen", "ANTIGEN 5 normal")
+            sock.settimeout(5)
+            try:
+                sock.sendall(b"A" * (64 * MAX_FRAME_BYTES))
+                # closing with the rest unread may reset the connection
+                assert sock.recv(64) == b""
+            except ConnectionResetError:
+                pass
+            assert wait_until(lambda: not server._sessions)
+            assert compartment.antigen_added_total == 1
+        finally:
+            sock.close()
+
+    def test_frame_cut_off_at_disconnect(self, server, compartment, caplog):
+        sock = client_socket(server)
+        try:
+            sock.sendall(b"HELLO 1 antigen\nANTIGEN 5 normal\nANTIGEN 6 nor")
+            sock.shutdown(socket.SHUT_WR)
+            sock.settimeout(5)
+            assert sock.recv(64) == b""
+        finally:
+            sock.close()
+        assert wait_until(lambda: not server._sessions)
+        assert compartment.antigen_added_total == 1
+        assert "frame cut off at disconnect" in caplog.text
+        # a complete frame missing only its newline is cut off all the same
+        sock = client_socket(server)
+        try:
+            sock.sendall(b"HELLO 1 antigen\nANTIGEN 7 normal")
+            sock.shutdown(socket.SHUT_WR)
+            sock.settimeout(5)
+            assert sock.recv(64) == b""
+        finally:
+            sock.close()
+        assert wait_until(lambda: not server._sessions)
+        assert compartment.antigen_added_total == 1
 
     def test_finished_session_threads_pruned(self, server, compartment):
         # one connection at a time, each closed by the server after BYE

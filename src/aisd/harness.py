@@ -4,12 +4,12 @@ aggregation into policies, evaluation and report artifacts.
 The realtime path starts a server, waits, replays a dataset over loopback
 and keeps the detector running for a tail period.  The offline path feeds
 the same records straight into a fresh compartment with a fixed
-events-to-cycles interleaving (no sockets, no pacing), which makes whole
-experiments deterministic per seed and much faster than realtime.  It
-ingests by window, straight from the replay log's columns: bisecting each
-kind's time column finds the records due before a cycle, whose signals are
-set in order and whose syscall numbers and labels are added in one
-``Compartment.add_events`` call.
+records-to-cycles rule (no sockets, no pacing), which makes whole
+experiments deterministic per seed and much faster than realtime.
+``offline_cycles`` is that rule's one implementation: it ingests by window,
+straight from the replay log's columns, and yields each cycle's report, so
+a caller that watches the tissue between cycles drives the same run as
+``run_single_offline``.
 
 Output layout per experiment directory:
 
@@ -24,7 +24,7 @@ import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .policy import (
     EvaluationRow,
@@ -41,6 +41,8 @@ from .policy import (
 )
 from .scenarios import ScenarioKind
 from .tissue import (
+    Compartment,
+    CycleReport,
     ResponseRecord,
     TissueParams,
     create_compartment,
@@ -188,14 +190,10 @@ class ExperimentResult:
 # Single runs
 # ---------------------------------------------------------------------------
 
-def run_single_offline(
-    log: ReplayLog,
-    tissue_params: TissueParams,
-    twocell_params: TwocellParams,
-    seed: int,
-    tail_time: float = 60.0,
-) -> list[ResponseRecord]:
-    """One deterministic offline run: feed records between cycles.
+def offline_cycles(
+    log: ReplayLog, compartment: Compartment, tail_time: float
+) -> Iterator[CycleReport]:
+    """Cycle a fresh compartment through the log, yielding each cycle's report.
 
     All records with timestamp < k / cycles_per_second are delivered before
     cycle k; after the last record the compartment keeps cycling for the
@@ -203,9 +201,7 @@ def run_single_offline(
     syscall events added with one ``add_events`` call, which leaves the
     store as one ``add_antigen`` per event would.
     """
-    compartment = create_compartment(tissue_params, seed)
-    attach_twocell(compartment, twocell_params)
-    cps = tissue_params.cycles_per_second
+    cps = compartment.params.cycles_per_second
     event_times, numbers, labels = log.event_times, log.event_numbers, log.event_labels
     signal_times, names, values = log.signal_times, log.signal_names, log.signal_values
     n_events, n_signals = len(event_times), len(signal_times)
@@ -222,7 +218,21 @@ def run_single_offline(
             end = bisect_left(event_times, horizon, e + 1)
             compartment.add_events(numbers[e:end], labels[e:end])
             e = end
-        compartment.cycle()
+        yield compartment.cycle()
+
+
+def run_single_offline(
+    log: ReplayLog,
+    tissue_params: TissueParams,
+    twocell_params: TwocellParams,
+    seed: int,
+    tail_time: float = 60.0,
+) -> list[ResponseRecord]:
+    """One deterministic offline run: ``offline_cycles`` to the end."""
+    compartment = create_compartment(tissue_params, seed)
+    attach_twocell(compartment, twocell_params)
+    for _ in offline_cycles(log, compartment, tail_time):
+        pass
     return compartment.response_log
 
 

@@ -155,7 +155,9 @@ def synthesize_scenario(profile: ScenarioProfile) -> ReplayLog:
     """Generate a labeled replay log; deterministic for a given seed.
 
     Events are drawn burst by burst into time, number and label columns,
-    then stably sorted by time; CPU samples come out in time order.
+    then stably sorted by time; CPU samples come out in time order.  Times
+    and CPU levels lie on the microsecond grid that ``format_replay_log``
+    writes, so a written log parses back to the same columns.
     """
     occupied = _burst_seconds(profile)
     rng = random.Random(profile.seed)
@@ -165,7 +167,11 @@ def synthesize_scenario(profile: ScenarioProfile) -> ReplayLog:
     cpu_bursts: list[tuple[int, int]] = []
 
     def burst_times(second: int, count: int) -> list[float]:
-        return sorted(second + rng.random() for _ in range(count))
+        # round(t, 6) at a third of its cost; a whole number of microseconds
+        # parses back from the file unchanged
+        return sorted(
+            math.floor((second + rng.random()) * 1e6 + 0.5) / 1e6 for _ in range(count)
+        )
 
     def add_normal_burst(second: int, count: int, cover_vocabulary: bool) -> None:
         if count == 0:

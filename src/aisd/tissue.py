@@ -2,16 +2,12 @@
 population.
 
 The population is a ``twocell.TwoCellState`` that ``attach_twocell`` puts on
-the compartment.  Each cycle runs every cell exactly once, Type 1 cells
-through ``twocell.type1_cycle`` and Type 2 cells through
-``twocell.type2_cycle``, in a seeded-random order, so repeated runs with the
-same seed and the same scripted inputs are bit-identical.
-
-The hot random draws (the cycle's shuffle, ``draw_antigen`` and the Type 2
-binds) call the compartment RNG's ``getrandbits(n.bit_length())`` directly
-and reject values >= n.  That is exactly what ``randrange(n)`` and
-``shuffle`` do inside ``random.Random``, so the stream is the same draw for
-draw, without a Python frame per draw.
+the compartment.  Each cycle hands the population to ``twocell.run_cells``,
+which runs every cell exactly once in a seeded-random order, so repeated
+runs with the same seed and the same scripted inputs are bit-identical.  The
+cycle's ``CycleReport`` is measured around that call: during a cycle only
+``draw_antigen`` shrinks the store and only ``emit_response`` grows the
+response log.
 
 External writers (wire sessions) may add antigen and set signals
 concurrently with a cycling thread; individual writes are atomic and become
@@ -91,8 +87,6 @@ class Compartment:
         self._response_listeners: list[Callable[[ResponseRecord], None]] = []
         self._lock = threading.RLock()
         self._realtime_start: float | None = None
-        self._consumed = 0
-        self._emitted = 0
 
     # -- clock ------------------------------------------------------------
 
@@ -161,21 +155,14 @@ class Compartment:
         n = len(store)
         if not n:
             return None
-        # randrange(n), inline
-        getrandbits = self.rng.getrandbits
-        bits = n.bit_length()
-        idx = getrandbits(bits)
-        while idx >= n:
-            idx = getrandbits(bits)
+        idx = self.rng._randbelow(n)  # what randrange(n) draws
         item = store[idx]
         del store[idx]
-        self._consumed += 1
         return item
 
     def emit_response(self, cell_id: int, matched_value: int) -> None:
         record = ResponseRecord(self.cycle_count, self.wall_time(), cell_id, matched_value)
         self.response_log.append(record)
-        self._emitted += 1
         for listener in self._response_listeners:
             listener(record)
 
@@ -192,29 +179,11 @@ class Compartment:
         """Run every cell once, in a freshly shuffled order."""
         with self._lock:
             self.cycle_count += 1
-            self._consumed = 0
-            self._emitted = 0
-            state = self.twocell
-            if state is not None:
-                n1 = state.n1
-                params = state.params
-                # rng.shuffle(order), inline: swap order[i] with order[randrange(i + 1)]
-                getrandbits = state.getrandbits
-                order = list(range(n1 + state.n2))
-                for i, n, bits in state.shuffle_steps:
-                    j = getrandbits(bits)
-                    while j >= n:
-                        j = getrandbits(bits)
-                    order[i], order[j] = order[j], order[i]
-                # looked up every cycle, so rebinding the module's names takes effect
-                type1_cycle = twocell.type1_cycle
-                type2_cycle = twocell.type2_cycle
-                for cell in order:
-                    if cell < n1:
-                        type1_cycle(cell, self, params)
-                    else:
-                        type2_cycle(cell, self, params)
-            return CycleReport(self._consumed, self._emitted)
+            stored = len(self._store)
+            logged = len(self.response_log)
+            if self.twocell is not None:
+                twocell.run_cells(self)
+            return CycleReport(stored - len(self._store), len(self.response_log) - logged)
 
 
 def create_compartment(params: TissueParams | None = None, seed: int = 0) -> Compartment:

@@ -7,12 +7,15 @@ emit a response for every exact match; a Type 2 cell that has never matched
 re-randomizes all its locks once it outlives ``cell_lifespan`` cycles.
 
 A population is a ``TwoCellState`` of flat per-cell lists.  Cell ids are
-0..n1-1 for Type 1 cells and n1..n1+n2-1 for Type 2 cells; the compartment
-runs ``type1_cycle`` or ``type2_cycle`` once per id per cycle.
+0..n1-1 for Type 1 cells and n1..n1+n2-1 for Type 2 cells.  Each compartment
+cycle calls ``run_cells``, which runs ``type1_cycle`` or ``type2_cycle`` once
+per id in a freshly shuffled order.
 
-A Type 2 bind picks a Type 1 cell by rejection sampling on
-``getrandbits(n1.bit_length())``, inline, which equals ``randrange(n1)``
-draw for draw.
+The hot draws, the cycle's shuffle and the Type 2 binds, call the
+compartment RNG's ``getrandbits(n.bit_length())`` inline and reject values
+>= n.  That is what ``randrange(n)`` and ``shuffle`` do inside
+``random.Random``, so the stream is the same draw for draw, without a Python
+frame per draw.
 """
 from __future__ import annotations
 
@@ -175,6 +178,27 @@ def type2_cycle(cell: int, compartment: Compartment, params: TwocellParams) -> N
             locks[j] = randbelow(SYSCALL_RANGE)
         age = 0
     state.ages[k] = age
+
+
+def run_cells(compartment: Compartment) -> None:
+    """Run every cell of the compartment's population once, in an order
+    shuffled as ``rng.shuffle`` would shuffle the list of ids."""
+    state = compartment.twocell
+    n1 = state.n1
+    params = state.params
+    getrandbits = state.getrandbits
+    order = list(range(n1 + state.n2))
+    for i, n, bits in state.shuffle_steps:
+        j = getrandbits(bits)  # randrange(n), inline
+        while j >= n:
+            j = getrandbits(bits)
+        order[i], order[j] = order[j], order[i]
+    # module globals, so rebinding type1_cycle/type2_cycle takes effect
+    for cell in order:
+        if cell < n1:
+            type1_cycle(cell, compartment, params)
+        else:
+            type2_cycle(cell, compartment, params)
 
 
 def attach_twocell(compartment: Compartment, params: TwocellParams) -> None:

@@ -388,18 +388,6 @@ class TissueServer:
                 logger.warning("dropping response client %s", session.address)
 
 
-def serve(
-    compartment: Compartment,
-    host: str = DEFAULT_HOST,
-    port: int = DEFAULT_PORT,
-    cycles_per_second: float | None = None,
-) -> TissueServer:
-    """Start a server and return its handle; raises OSError on bind failure."""
-    server = TissueServer(compartment, host, port, cycles_per_second)
-    server.start()
-    return server
-
-
 # ---------------------------------------------------------------------------
 # Replay client
 # ---------------------------------------------------------------------------

@@ -57,7 +57,8 @@ def _type2_cells(compartment):
 
 
 def check_antigen_conservation(rng: random.Random) -> None:
-    """Store shrinkage per cycle equals antigen newly presented that cycle."""
+    """Store shrinkage per cycle equals antigen newly presented that cycle,
+    and so does the cycle's reported consumption."""
     params = _random_params(rng)
     comp = create_compartment(seed=rng.randrange(2**30))
     attach_twocell(comp, params)
@@ -72,10 +73,11 @@ def check_antigen_conservation(rng: random.Random) -> None:
             1 for key, remaining in producers if key is not None and remaining == 1
         )
         store_before = comp.antigen_count()
-        comp.cycle()
+        report = comp.cycle()
         live_after = sum(1 for key, _ in _antigen_producers(comp) if key is not None)
         newly_presented = live_after - (live_before - expiring)
         assert store_before - comp.antigen_count() == newly_presented
+        assert report.antigen_consumed == newly_presented
         assert newly_presented >= 0
 
 
@@ -103,7 +105,8 @@ def check_presentation_expiry(rng: random.Random) -> None:
 
 
 def check_response_soundness(rng: random.Random) -> None:
-    """No response names a value that was never added to the compartment."""
+    """No response names a value that was never added to the compartment;
+    each cycle reports as many responses as it appended to the log."""
     params = _random_params(rng)
     comp = create_compartment(seed=rng.randrange(2**30))
     attach_twocell(comp, params)
@@ -113,7 +116,11 @@ def check_response_soundness(rng: random.Random) -> None:
             value = rng.randrange(512)
             comp.add_antigen(value)
             added.add(value)
-        comp.cycle()
+        logged = len(comp.response_log)
+        report = comp.cycle()
+        new = comp.response_log[logged:]
+        assert report.responses_emitted == len(new)
+        assert all(r.cycle == comp.cycle_count for r in new)
     responded = {r.matched_value for r in comp.response_log}
     assert responded <= added
 

@@ -16,6 +16,7 @@ from aisd.cli import main as cli_main
 from aisd.harness import (
     ExperimentPlan,
     PlanDataset,
+    offline_cycles,
     run_offline,
 )
 from aisd.policy import naive_policy
@@ -160,20 +161,8 @@ def test_criterion_5_rate_response_coupling(capsys):
     comp = create_compartment(ACCEPT_TISSUE, seed=55)
     attach_twocell(comp, ACCEPT_TWOCELL)
     cps = ACCEPT_TISSUE.cycles_per_second
-    records = log.records
-    idx, n = 0, len(records)
-    total_cycles = int(math.floor(log.duration * cps)) + 1 + int(30 * cps)
     store_empty_time = 0.0
-    while comp.cycle_count < total_cycles or idx < n:
-        horizon = (comp.cycle_count + 1) / cps
-        while idx < n and records[idx].timestamp < horizon:
-            record = records[idx]
-            if isinstance(record, SyscallEvent):
-                comp.add_antigen(record.syscall_number, record.label)
-            else:
-                comp.set_signal(record.signal_name, record.value)
-            idx += 1
-        comp.cycle()
+    for _ in offline_cycles(log, comp, tail_time=30.0):
         if comp.antigen_count() > 0:
             store_empty_time = comp.cycle_count / cps
 

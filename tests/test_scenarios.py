@@ -16,7 +16,10 @@ from aisd.scenarios import (
     ScenarioProfile,
     synthesize_scenario,
 )
-from aisd.trace_model import Label, dataset_stats, format_replay_log
+from aisd.harness import run_single_offline
+from aisd.tissue import TissueParams
+from aisd.trace_model import Label, dataset_stats, format_replay_log, parse_replay_log
+from aisd.twocell import TwocellParams
 
 # independently recounted target triples per scenario
 EXPECTED_STATS = {
@@ -186,6 +189,33 @@ FORMATTED_LOG_DIGESTS = {
 def test_formatted_log_golden(name):
     text = format_replay_log(synthesize_scenario(BUNDLED_PROFILES[name]))
     assert hashlib.sha256(text.encode()).hexdigest() == FORMATTED_LOG_DIGESTS[name]
+
+
+# The offline-flood benchmark's success profile.  At seeds 202 and 5202 an
+# event falls less than half a microsecond before the 0.3 s cycle boundary.
+FLOOD_SUCCESS = ScenarioProfile(
+    "flood-success", ScenarioKind.SUCCESS, startup_burst=45_000, shutdown_burst=None,
+    attack_bursts=((55_000, 5), (3_000, 12)), interaction_events=2_000, duration=20,
+    seed=202, attack_novel_fraction=0.125,
+)
+ROUND_TRIP_PROFILES = {
+    **BUNDLED_PROFILES,
+    "flood-success-202": FLOOD_SUCCESS,
+    "flood-success-5202": dataclasses.replace(FLOOD_SUCCESS, seed=5202),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUND_TRIP_PROFILES))
+def test_written_log_is_the_log_in_memory(name):
+    log = synthesize_scenario(ROUND_TRIP_PROFILES[name])
+    text = format_replay_log(log)
+    parsed = parse_replay_log(text)
+    assert format_replay_log(parsed) == text
+    assert parsed == log
+    run = (TissueParams(), TwocellParams(), 4)
+    assert run_single_offline(parsed, *run, tail_time=1.0) == run_single_offline(
+        log, *run, tail_time=1.0
+    )
 
 
 @pytest.mark.parametrize("field", ["vocabulary", "attack_novel"])

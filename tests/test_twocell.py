@@ -226,11 +226,10 @@ class TestType2:
 
     def test_rate_coupling_cross_correlation(self):
         # responses trail antigen: peak cross-correlation sits at lag >= 0
-        import math
         from collections import Counter
 
+        from aisd.harness import offline_cycles
         from aisd.scenarios import ScenarioKind, ScenarioProfile, synthesize_scenario
-        from aisd.trace_model import SyscallEvent
 
         profile = ScenarioProfile(
             name="xcorr", kind=ScenarioKind.SUCCESS, startup_burst=0,
@@ -241,18 +240,8 @@ class TestType2:
         comp = create_compartment(seed=7)
         attach_twocell(comp, TwocellParams())
         cps = comp.params.cycles_per_second
-        records, idx = log.records, 0
-        total = int(math.floor(log.duration * cps)) + 1 + int(20 * cps)
-        while comp.cycle_count < total or idx < len(records):
-            horizon = (comp.cycle_count + 1) / cps
-            while idx < len(records) and records[idx].timestamp < horizon:
-                r = records[idx]
-                if isinstance(r, SyscallEvent):
-                    comp.add_antigen(r.syscall_number, r.label)
-                else:
-                    comp.set_signal(r.signal_name, r.value)
-                idx += 1
-            comp.cycle()
+        for _ in offline_cycles(log, comp, tail_time=20.0):
+            pass
         assert comp.response_log
         seconds = int(comp.cycle_count / cps)
         antigen = Counter(int(e.timestamp) for e in log.syscall_events())

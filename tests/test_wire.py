@@ -289,18 +289,6 @@ class TestServer:
         with pytest.raises(OSError):
             other.start()
 
-    def test_serve_helper(self, compartment):
-        from aisd.wire import serve
-
-        handle = serve(compartment, host="127.0.0.1", port=0)
-        try:
-            sock = socket.create_connection(("127.0.0.1", handle.port), timeout=5)
-            send_lines(sock, "HELLO 1 antigen", "ANTIGEN 3 normal")
-            assert wait_until(lambda: compartment.antigen_added_total == 1)
-            sock.close()
-        finally:
-            handle.stop()
-
 
 class TestReplay:
     def make_log(self, timestamps):

@@ -4,10 +4,11 @@ population.
 The population is a ``twocell.TwoCellState`` that ``attach_twocell`` puts on
 the compartment.  Each cycle hands the population to ``twocell.run_cells``,
 which runs every cell exactly once in a seeded-random order, so repeated
-runs with the same seed and the same scripted inputs are bit-identical.  The
-cycle's ``CycleReport`` is measured around that call: during a cycle only
-``draw_antigen`` shrinks the store and only ``emit_response`` grows the
-response log.
+runs with the same seed and the same scripted inputs are bit-identical.  An
+idle cycle (empty store, nothing presented) draws and ages its cells inline
+and makes no per-cell call.  The cycle's ``CycleReport`` is measured around
+``run_cells``: during a cycle only ``draw_antigen`` shrinks the store and
+only ``emit_response`` grows the response log.
 
 External writers (wire sessions) may add antigen and set signals
 concurrently with a cycling thread; individual writes are atomic and become
@@ -16,6 +17,9 @@ antigen (a wire frame); ``add_events`` adds a batch given as syscall-number
 and label columns, such as an offline run's window of events between two
 cycles, in one locked ``deque.extend``.  Both count the antigen they add and
 the oldest antigen the bounded store drops to make room.
+
+Run totals on the compartment: antigen added and dropped, signals set and
+clamped into [0, 1], idle cycles and Type 2 lock resets.
 """
 from __future__ import annotations
 
@@ -80,6 +84,9 @@ class Compartment:
         self.antigen_added_total = 0
         self.antigen_dropped_total = 0
         self.signals_set_total = 0
+        self.signals_clamped_total = 0
+        self.idle_cycles_total = 0
+        self.type2_resets_total = 0
         self.twocell: twocell.TwoCellState | None = None
         # bounded store: at capacity, append drops the oldest antigen
         self._store: deque[tuple[int, Label]] = deque(maxlen=params.antigen_capacity)
@@ -134,12 +141,14 @@ class Compartment:
             raise ValueError(f"unknown signal {name!r}")
         if not math.isfinite(level):
             raise ValueError(f"signal {name} level must be finite, got {level}")
-        if level < 0.0 or level > 1.0:
+        clamped = level < 0.0 or level > 1.0
+        if clamped:
             logger.warning("signal %s level %s outside [0, 1], clamped", name, level)
             level = min(1.0, max(0.0, level))
         with self._lock:
             self._signals[name] = level
             self.signals_set_total += 1
+            self.signals_clamped_total += clamped
 
     def get_signal(self, name: str) -> float:
         return self._signals[name]

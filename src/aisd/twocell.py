@@ -8,8 +8,15 @@ re-randomizes all its locks once it outlives ``cell_lifespan`` cycles.
 
 A population is a ``TwoCellState`` of flat per-cell lists.  Cell ids are
 0..n1-1 for Type 1 cells and n1..n1+n2-1 for Type 2 cells.  Each compartment
-cycle calls ``run_cells``, which runs ``type1_cycle`` or ``type2_cycle`` once
-per id in a freshly shuffled order.
+cycle calls ``run_cells``, which shuffles the ids and runs ``type1_cycle`` or
+``type2_cycle`` once per id in that order.
+
+A cycle is idle when the store is empty and no Type 1 producer presents a
+key (``TwoCellState.live`` is 0).  Then no Type 1 cell can act and no Type 2
+bind can find a key, so ``run_cells`` makes each Type 2 cell's bind draws,
+ages it and, when due, resets it in one inline loop over the shuffled order,
+with no per-cell call.  The draws are the ones the per-cell functions would
+make, in the same order.
 
 The hot draws, the cycle's shuffle and the Type 2 binds, call the
 compartment RNG's ``getrandbits(n.bit_length())`` inline and reject values
@@ -79,8 +86,10 @@ class TwoCellState:
 
     Type 1 cell ``i`` presents ``keys[i][j]`` on its producer ``j`` for
     ``timers[i][j]`` more cycles; a free producer holds ``None`` and 0.
-    Type 2 cell ``n1 + k`` holds the VR locks ``locks[k]``, has emitted
-    ``matches[k]`` responses, and is ``ages[k]`` cycles past its last reset.
+    ``live`` counts the keys presented over all producers.  Type 2 cell
+    ``n1 + k`` holds the VR locks ``locks[k]``, has emitted ``matches[k]``
+    responses, and is ``ages[k]`` cycles past its last reset.  ``order`` is
+    the order the last cycle ran the cells in.
     """
 
     def __init__(self, params: TwocellParams, rng: random.Random):
@@ -92,6 +101,7 @@ class TwoCellState:
         producers = params.antigen_producers_per_t1
         self.keys: list[list[int | None]] = [[None] * producers for _ in range(self.n1)]
         self.timers: list[list[int]] = [[0] * producers for _ in range(self.n1)]
+        self.live = 0
         # drawn cell by cell, in id order
         self.locks: list[list[int]] = [
             [rng.randrange(SYSCALL_RANGE) for _ in range(params.vr_receptors_per_t2)]
@@ -105,6 +115,7 @@ class TwoCellState:
         self.shuffle_steps = [
             (i, i + 1, (i + 1).bit_length()) for i in range(self.n1 + self.n2 - 1, 0, -1)
         ]
+        self.order: list[int] = []
 
 
 def type1_cycle(cell: int, compartment: Compartment, params: TwocellParams) -> None:
@@ -124,6 +135,7 @@ def type1_cycle(cell: int, compartment: Compartment, params: TwocellParams) -> N
             timers[j] = remaining
             if not remaining:
                 keys[j] = None  # presented antigen destroyed
+                state.live -= 1
     if not compartment._store:
         return  # draw_antigen would return None without drawing
 
@@ -139,6 +151,7 @@ def type1_cycle(cell: int, compartment: Compartment, params: TwocellParams) -> N
                 period = presentation_period(compartment.get_signal("cpu"), params)
             keys[j] = drawn[0]
             timers[j] = period
+            state.live += 1
             ingest -= 1
             if not ingest:
                 return
@@ -173,19 +186,25 @@ def type2_cycle(cell: int, compartment: Compartment, params: TwocellParams) -> N
 
     age = state.ages[k] + 1
     if age >= params.cell_lifespan and not state.matches[k]:
-        randbelow = compartment.rng._randbelow  # what randrange(n) draws
-        for j in range(len(locks)):
-            locks[j] = randbelow(SYSCALL_RANGE)
+        _reset_locks(compartment, locks)
         age = 0
     state.ages[k] = age
 
 
+def _reset_locks(compartment: Compartment, locks: list[int]) -> None:
+    """Re-randomize a Type 2 cell's locks in place, and count the reset."""
+    randbelow = compartment.rng._randbelow  # what randrange(n) draws
+    for j in range(len(locks)):
+        locks[j] = randbelow(SYSCALL_RANGE)
+    compartment.type2_resets_total += 1
+
+
 def run_cells(compartment: Compartment) -> None:
     """Run every cell of the compartment's population once, in an order
-    shuffled as ``rng.shuffle`` would shuffle the list of ids."""
+    shuffled as ``rng.shuffle`` would shuffle the list of ids; an idle
+    cycle draws and ages its Type 2 cells inline."""
     state = compartment.twocell
     n1 = state.n1
-    params = state.params
     getrandbits = state.getrandbits
     order = list(range(n1 + state.n2))
     for i, n, bits in state.shuffle_steps:
@@ -193,6 +212,32 @@ def run_cells(compartment: Compartment) -> None:
         while j >= n:
             j = getrandbits(bits)
         order[i], order[j] = order[j], order[i]
+    state.order = order
+
+    if not state.live and not compartment._store:
+        # Idle: every Type 1 timer is 0 and nothing can be drawn, so Type 1
+        # cells do nothing and each bind only makes its draws.
+        bits = n1.bit_length()
+        binds = range(state.binds)
+        ages = state.ages
+        matches = state.matches
+        lifespan = state.params.cell_lifespan
+        for cell in order:
+            k = cell - n1
+            if k < 0:
+                continue
+            for _ in binds:
+                while getrandbits(bits) >= n1:  # randrange(n1), inline
+                    pass
+            age = ages[k] + 1
+            if age >= lifespan and not matches[k]:
+                _reset_locks(compartment, state.locks[k])
+                age = 0
+            ages[k] = age
+        compartment.idle_cycles_total += 1
+        return
+
+    params = state.params
     # module globals, so rebinding type1_cycle/type2_cycle takes effect
     for cell in order:
         if cell < n1:

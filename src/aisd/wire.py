@@ -206,7 +206,9 @@ class TissueServer:
     One thread accepts connections and starts a thread per client, mirroring
     the realtime architecture; it drops finished client threads from
     ``_threads`` as it adds new ones.  If ``cycles_per_second`` is given, a
-    pacer thread cycles the compartment while the server runs.
+    pacer thread cycles the compartment while the server runs.  A response
+    client whose send fails is dropped, and the response it missed is
+    counted in ``responses_dropped_total``.
     """
 
     def __init__(
@@ -223,6 +225,7 @@ class TissueServer:
         self._listener: socket.socket | None = None
         self._sessions: list[_Session] = []
         self._sessions_lock = threading.Lock()
+        self.responses_dropped_total = 0
         self._accept_thread: threading.Thread | None = None
         self._threads: list[threading.Thread] = []
         self._stopping = threading.Event()
@@ -386,6 +389,14 @@ class TissueServer:
                 session.send_line(line)
             except OSError:
                 logger.warning("dropping response client %s", session.address)
+                with self._sessions_lock:
+                    self.responses_dropped_total += 1
+                    if session in self._sessions:
+                        self._sessions.remove(session)
+                try:  # ends the session's reader thread, which closes it
+                    session.conn.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass
 
 
 # ---------------------------------------------------------------------------

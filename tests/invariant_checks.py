@@ -58,7 +58,8 @@ def _type2_cells(compartment):
 
 def check_antigen_conservation(rng: random.Random) -> None:
     """Store shrinkage per cycle equals antigen newly presented that cycle,
-    and so does the cycle's reported consumption."""
+    and so does the cycle's reported consumption; the population's live
+    count equals the keys presented."""
     params = _random_params(rng)
     comp = create_compartment(seed=rng.randrange(2**30))
     attach_twocell(comp, params)
@@ -75,6 +76,7 @@ def check_antigen_conservation(rng: random.Random) -> None:
         store_before = comp.antigen_count()
         report = comp.cycle()
         live_after = sum(1 for key, _ in _antigen_producers(comp) if key is not None)
+        assert comp.twocell.live == live_after
         newly_presented = live_after - (live_before - expiring)
         assert store_before - comp.antigen_count() == newly_presented
         assert report.antigen_consumed == newly_presented

@@ -385,6 +385,32 @@ def test_experiment_artifacts_golden(bundled_files, tmp_path):
     assert (len(paths), digest.hexdigest()) == EXPERIMENT_DIGEST
 
 
+def test_idle_cycle_and_reset_totals(bundled_logs):
+    """The compartment's idle-cycle and reset totals equal counts made from
+    the population before and after each cycle of an offline run."""
+    compartment = create_compartment(FAST_TISSUE, 5)
+    attach_twocell(compartment, FAST_TWOCELL)
+    state = compartment.twocell
+    cycle = compartment.cycle
+    idle = resets = 0
+
+    def counting_cycle():
+        nonlocal idle, resets
+        presented = any(key is not None for keys in state.keys for key in keys)
+        idle += not compartment.antigen_count() and not presented
+        report = cycle()
+        resets += state.ages.count(0)  # a reset leaves age 0; else age >= 1
+        return report
+
+    compartment.cycle = counting_cycle
+    for _ in aisd.harness.offline_cycles(bundled_logs["normal2"], compartment, 30.0):
+        pass
+    assert compartment.idle_cycles_total == idle
+    assert compartment.type2_resets_total == resets
+    assert 0 < idle < compartment.cycle_count
+    assert resets > 0
+
+
 def snapshot(compartment) -> tuple:
     return (list(compartment._store), compartment.get_signal("cpu"),
             compartment.antigen_added_total, compartment.signals_set_total)

@@ -79,6 +79,10 @@ class TestInputs:
             comp.set_signal("cpu", 1.5)
         assert comp.get_signal("cpu") == 1.0
         assert "clamped" in caplog.text
+        comp.set_signal("cpu", 0.5)
+        comp.set_signal("cpu", -0.25)
+        assert comp.get_signal("cpu") == 0.0
+        assert (comp.signals_set_total, comp.signals_clamped_total) == (3, 2)
 
     def test_unknown_signal(self):
         comp = create_compartment(seed=1)
@@ -160,8 +164,13 @@ class TestPopulate:
         assert (comp.twocell.n1, comp.twocell.n2) == (10, 10)
         runs: list = []
         count_cell_runs(monkeypatch, runs)
-        comp.cycle()
+        comp.cycle()  # idle: the cells run inline, in the shuffled order
+        assert runs == []
+        assert sorted(comp.twocell.order) == list(range(20))
+        comp.add_antigen(5)
+        comp.cycle()  # something to present: one call per cell
         assert sorted(cell for _, cell, _ in runs) == list(range(20))
+        assert [cell for _, cell, _ in runs] == comp.twocell.order
 
     def test_zero_count_noop(self):
         with pytest.raises(ValueError):
@@ -250,7 +259,7 @@ class TestRandomStream:
         attach_twocell(comp, params)
         runs: list = []
         count_cell_runs(monkeypatch, runs)
-        comp.cycle()  # empty store: Type 1 cells draw nothing
+        comp.cycle()  # idle: Type 1 cells draw nothing, no per-cell call
 
         expected = random.Random(seed)
         for _ in range(n2 * 3):
@@ -260,6 +269,23 @@ class TestRandomStream:
         for _ in range(comp.twocell.binds * n2):
             expected.randrange(n1)
         assert comp.rng.getstate() == expected.getstate()
+        assert comp.twocell.order == order
+        assert runs == []
+
+        comp.add_antigen(7)
+        comp.cycle()  # the first Type 1 cell in the order draws the antigen
+        order = list(range(n1 + n2))
+        expected.shuffle(order)
+        drawn = False
+        for cell in order:
+            if cell >= n1:
+                for _ in range(comp.twocell.binds):
+                    expected.randrange(n1)
+            elif not drawn:
+                expected.randrange(1)  # draw_antigen from a store of one
+                drawn = True
+        assert comp.rng.getstate() == expected.getstate()
+        assert comp.twocell.order == order
         assert [cell for _, cell, _ in runs] == order
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 8, 512, 1000])

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import aisd.twocell
 from aisd.tissue import TissueParams, create_compartment
 from aisd.trace_model import SYSCALL_RANGE
 from aisd.twocell import (
@@ -276,3 +277,72 @@ class TestType2:
         # matched every cycle it is visible, and it stays the full period
         assert any(key == 8 for key, _ in antigen_producers(comp))
         assert comp.twocell.matches[0] >= 2
+
+
+def reference_run_cells(compartment):
+    """The cycle with no fast path: ``rng.shuffle`` of the ids, then one
+    per-cell call per id."""
+    state = compartment.twocell
+    order = list(range(state.n1 + state.n2))
+    compartment.rng.shuffle(order)
+    for cell in order:
+        if cell < state.n1:
+            aisd.twocell.type1_cycle(cell, compartment, state.params)
+        else:
+            aisd.twocell.type2_cycle(cell, compartment, state.params)
+
+
+class TestIdleFastPath:
+    RIGGED = 5  # the first Type 2 cell's first lock, fed in as antigen
+
+    @pytest.mark.parametrize(
+        "n1, n2, lifespan, seed", [(10, 20, 3, 1), (1, 2, 1, 2), (3, 13, 5, 3), (4, 4, 2, 4)]
+    )
+    def test_equals_per_cell_dispatch(self, monkeypatch, n1, n2, lifespan, seed):
+        params = TwocellParams(
+            n_type1=n1, n_type2=n2, cell_lifespan=lifespan,
+            min_presentation=1, max_presentation=8,
+        )
+        fast, ref = create_compartment(seed=seed), create_compartment(seed=seed)
+        for comp in (fast, ref):
+            attach_twocell(comp, params)
+            comp.twocell.locks[0][0] = self.RIGGED
+        inputs = random.Random(seed + 100)
+        idle = busy = idle_resets = 0
+        for cycle in range(400):
+            # bursts of antigen, then quiet stretches longer than any presentation
+            if cycle % 40 < 12 and inputs.random() < 0.7:
+                level = inputs.random()
+                values = [inputs.choice((self.RIGGED, inputs.randrange(64)))
+                          for _ in range(inputs.randint(1, 4))]
+                for comp in (fast, ref):
+                    comp.set_signal("cpu", level)
+                    for value in values:
+                        comp.add_antigen(value)
+            idle_before = fast.idle_cycles_total
+            resets_before = fast.type2_resets_total
+            with monkeypatch.context() as m:
+                m.setattr(aisd.twocell, "run_cells", reference_run_cells)
+                expected = ref.cycle()
+            report = fast.cycle()
+
+            assert report == expected
+            assert fast.rng.getstate() == ref.rng.getstate()
+            a, b = fast.twocell, ref.twocell
+            assert (a.keys, a.timers, a.locks, a.matches, a.ages) == (
+                b.keys, b.timers, b.locks, b.matches, b.ages
+            )
+            assert a.live == b.live == sum(k is not None for keys in a.keys for k in keys)
+            assert fast.response_log == ref.response_log
+            assert fast.type2_resets_total == ref.type2_resets_total
+            assert fast.antigen_count() == ref.antigen_count()
+            if fast.idle_cycles_total > idle_before:
+                idle += 1
+                idle_resets += fast.type2_resets_total > resets_before
+            else:
+                busy += 1
+        assert ref.idle_cycles_total == 0
+        # every kind of cycle was exercised
+        assert idle > 50 and busy > 50
+        assert idle_resets > 0
+        assert fast.twocell.matches[0] > 0

@@ -284,6 +284,37 @@ class TestServer:
         finally:
             sock.close()
 
+    def test_failed_response_client_dropped(self, server, compartment, monkeypatch, caplog):
+        bad, good = client_socket(server), client_socket(server)
+        try:
+            send_lines(bad, "HELLO 1 response")
+            send_lines(good, "HELLO 1 response")
+            assert wait_until(
+                lambda: sum("response" in s.roles for s in server._sessions) == 2
+            )
+            session = next(s for s in server._sessions if s.address == bad.getsockname())
+
+            def broken_send(line):
+                raise OSError("broken pipe")
+
+            monkeypatch.setattr(session, "send_line", broken_send)
+            with caplog.at_level("WARNING"):
+                compartment.emit_response(9, 55)
+                compartment.emit_response(10, 56)
+            assert session not in server._sessions
+            assert server.responses_dropped_total == 1
+            assert caplog.text.count("dropping response client") == 1
+            good.settimeout(5)
+            reader = good.makefile("r")
+            assert [decode(reader.readline()).number for _ in range(2)] == [55, 56]
+            # the server shut the dropped socket down; its reader thread closed it
+            bad.settimeout(5)
+            assert bad.recv(64) == b""
+            assert wait_until(lambda: session.conn.fileno() == -1)
+        finally:
+            bad.close()
+            good.close()
+
     def test_bind_failure_raises(self, server):
         other = TissueServer(create_compartment(seed=2), host="127.0.0.1", port=server.port)
         with pytest.raises(OSError):

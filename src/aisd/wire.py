@@ -15,6 +15,13 @@ from clients that declared the matching role.  A frame is at most
 decodes each line on its own: an oversized frame, a non-ASCII one or one cut
 off by the disconnect is a protocol error that closes the session, and the
 frames before it still apply.
+
+``decode`` memoizes canonical ``ANTIGEN`` frames: a bytes line that equals
+``encode(message) + "\n"`` for the ``ANTIGEN`` message it parses to is kept
+with that message, and the next identical line is answered from the memo
+without a parse.  Only exact canonical spellings are stored, so the memo holds
+at most ``2 * SYSCALL_RANGE`` entries (one per syscall number and label)
+whatever clients send; any other line, and every str line, takes the parse.
 """
 from __future__ import annotations
 
@@ -53,7 +60,7 @@ class ProtocolError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WireMessage:
     kind: MessageKind
     version: int | None = None
@@ -129,8 +136,29 @@ def _float_field(kind: str, index: int, name: str, token: str) -> float:
     return value
 
 
+# Canonical ANTIGEN frame -> its parse; see the module docstring for the bound.
+# Sessions share it: a racing insert stores an equal message under the same key.
+_ANTIGEN_FRAMES: dict[bytes, WireMessage] = {}
+
+
 def decode(line: str | bytes) -> WireMessage:
-    """Parse one complete protocol line."""
+    """Parse one complete protocol line.
+
+    A bytes line that is a canonical ``ANTIGEN`` frame is parsed once and then
+    answered from the memo; str lines are never looked up, so a str is never
+    compared with the bytes keys.
+    """
+    if not isinstance(line, bytes):
+        return _parse(line)
+    message = _ANTIGEN_FRAMES.get(line)
+    if message is None:
+        message = _parse(line)
+        if message.kind is MessageKind.ANTIGEN and line == f"{encode(message)}\n".encode("ascii"):
+            _ANTIGEN_FRAMES[line] = message
+    return message
+
+
+def _parse(line: str | bytes) -> WireMessage:
     if isinstance(line, bytes):
         try:
             line = line.decode("ascii")
@@ -208,7 +236,9 @@ class TissueServer:
     ``_threads`` as it adds new ones.  If ``cycles_per_second`` is given, a
     pacer thread cycles the compartment while the server runs.  A response
     client whose send fails is dropped, and the response it missed is
-    counted in ``responses_dropped_total``.
+    counted in ``responses_dropped_total``.  A frame that fails to decode or
+    to dispatch closes its session and is counted in
+    ``frames_rejected_total``; the frames before it still apply.
     """
 
     def __init__(
@@ -226,6 +256,7 @@ class TissueServer:
         self._sessions: list[_Session] = []
         self._sessions_lock = threading.Lock()
         self.responses_dropped_total = 0
+        self.frames_rejected_total = 0
         self._accept_thread: threading.Thread | None = None
         self._threads: list[threading.Thread] = []
         self._stopping = threading.Event()
@@ -235,9 +266,13 @@ class TissueServer:
 
     def start(self) -> None:
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen(32)
+        try:
+            listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
+            listener.bind((self.host, self.port))
+            listener.listen(32)
+        except OSError:
+            listener.close()
+            raise
         listener.settimeout(0.2)  # lets the accept loop notice shutdown
         self._listener = listener
         self.port = listener.getsockname()[1]
@@ -341,6 +376,8 @@ class TissueServer:
                         break
         except ProtocolError as exc:
             logger.warning("client %s protocol error: %s", session.address, exc)
+            with self._sessions_lock:
+                self.frames_rejected_total += 1
         except OSError:
             pass
         finally:

@@ -53,6 +53,9 @@ messages = st.one_of(
 @given(messages)
 def test_decode_encode_identity(message):
     assert decode(encode(message)) == message
+    frame = (encode(message) + "\n").encode("ascii")
+    assert decode(frame) == message
+    assert decode(frame) == message  # a memo hit for ANTIGEN frames
 
 
 # -- merging and statistics ---------------------------------------------------

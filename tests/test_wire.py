@@ -1,13 +1,25 @@
 from __future__ import annotations
 
+import random
+import re
 import socket
 import threading
 import time
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from aisd import wire
 from aisd.tissue import TissueParams, create_compartment
-from aisd.trace_model import Label, SignalSample, SyscallEvent, merge_to_replay_log
+from aisd.trace_model import (
+    LABELS,
+    SYSCALL_RANGE,
+    Label,
+    SignalSample,
+    SyscallEvent,
+    merge_to_replay_log,
+)
 from aisd.twocell import TwocellParams, attach_twocell
 from aisd.wire import (
     MAX_FRAME_BYTES,
@@ -105,6 +117,137 @@ class TestCodec:
             decode("ANTIGEN 512 normal")
 
 
+def canonical_frames() -> list[bytes]:
+    return [
+        f"ANTIGEN {number} {label}\n".encode("ascii")
+        for number in range(SYSCALL_RANGE) for label in LABELS
+    ]
+
+
+def outcome(parse, line) -> WireMessage | str:
+    """``parse(line)``, or the text of the ``ProtocolError`` it raises."""
+    try:
+        return parse(line)
+    except ProtocolError as exc:
+        return str(exc)
+
+
+def assert_memo_canonical() -> None:
+    memo = wire._ANTIGEN_FRAMES
+    assert len(memo) <= 2 * SYSCALL_RANGE
+    for line, message in memo.items():
+        assert message.kind is MessageKind.ANTIGEN
+        assert line == (encode(message) + "\n").encode("ascii")
+
+
+@pytest.fixture
+def empty_memo():
+    wire._ANTIGEN_FRAMES.clear()
+    yield wire._ANTIGEN_FRAMES
+    wire._ANTIGEN_FRAMES.clear()
+
+
+# Hostile spellings of ANTIGEN frames: each parses (or fails) but is not the
+# canonical frame of what it parses to.
+NON_CANONICAL = [
+    b"ANTIGEN 07 normal\n",
+    b"ANTIGEN +7 normal\n",
+    b"ANTIGEN 1_0 normal\n",
+    b"ANTIGEN  7 normal\n",
+    b"ANTIGEN 7  attack\n",
+    b" ANTIGEN 7 normal\n",
+    b"ANTIGEN 7 normal \n",
+    b"ANTIGEN 7 normal\r\n",
+    b"ANTIGEN\t7 normal\n",
+    b"ANTIGEN 7 normal",
+    b"ANTIGEN \xd9\xa7 normal\n",
+]
+
+
+class TestAntigenMemo:
+    def test_every_canonical_frame(self, empty_memo):
+        frames = canonical_frames()
+        assert len(frames) == 2 * SYSCALL_RANGE
+        for frame in frames:
+            expected = wire._parse(frame)
+            assert decode(frame) == expected  # first sight
+            assert empty_memo[frame] == expected
+            assert decode(frame) == expected  # memo hit
+            assert decode(frame.decode("ascii")) == expected
+        assert len(empty_memo) == 2 * SYSCALL_RANGE
+        assert_memo_canonical()
+
+    @pytest.mark.parametrize("line", NON_CANONICAL)
+    def test_non_canonical_spelling_not_stored(self, empty_memo, line):
+        decode(b"ANTIGEN 7 normal\n")
+        decode(b"ANTIGEN 10 normal\n")
+        before = dict(empty_memo)
+        assert outcome(decode, line) == outcome(wire._parse, line)
+        assert outcome(decode, line) == outcome(wire._parse, line)
+        assert empty_memo == before
+
+    def test_str_lines_not_stored(self, empty_memo):
+        assert decode("ANTIGEN 5 normal\n") == WireMessage.antigen(5, Label.NORMAL)
+        assert decode("ANTIGEN 5 normal") == WireMessage.antigen(5, Label.NORMAL)
+        assert empty_memo == {}
+
+    def test_other_kinds_not_stored(self, empty_memo):
+        for message in (
+            WireMessage.hello(("antigen",)), WireMessage.signal("cpu", 0.5),
+            WireMessage.response(5, 1, 2.5), WireMessage.bye(),
+        ):
+            assert decode((encode(message) + "\n").encode("ascii")) == message
+        assert empty_memo == {}
+
+    @pytest.mark.parametrize(
+        "line, error",
+        [
+            (b"ANTIGEN 512 normal\n", "field 1 (syscall number) must be < 512"),
+            (b"ANTIGEN -1 normal\n", "field 1 (syscall number) must be >= 0"),
+            (b"ANTIGEN 5 hostile\n", "field 2 (label) must be normal or attack"),
+            (b"ANTIGEN 5 Normal\n", "field 2 (label) must be normal or attack"),
+            (b"ANTIGEN 5\n", "ANTIGEN: expected 2 fields, got 1"),
+        ],
+    )
+    def test_errors_unchanged_with_warm_memo(self, empty_memo, line, error):
+        for frame in canonical_frames():
+            decode(frame)
+        with pytest.raises(ProtocolError, match=re.escape(error)):
+            decode(line)
+        assert outcome(decode, line) == outcome(wire._parse, line)
+        assert len(empty_memo) == 2 * SYSCALL_RANGE
+
+    def test_hostile_stream_keeps_memo_bounded(self, empty_memo):
+        rng = random.Random(8)
+        numbers = ["7", "07", "+7", "0_7", "511", "512", "-0", "00", "1_0", "٧"]
+        labels = ["normal", "attack", "Normal", "attack ", "hostile"]
+        seps = [" ", "  ", "\t", " \t"]
+        ends = ["\n", "\r\n", " \n", ""]
+        for _ in range(5000):
+            line = (
+                f"ANTIGEN{rng.choice(seps)}{rng.choice(numbers)}"
+                f"{rng.choice(seps)}{rng.choice(labels)}{rng.choice(ends)}"
+            ).encode("utf-8")
+            assert outcome(decode, line) == outcome(wire._parse, line)
+        for frame in canonical_frames():
+            decode(frame)
+        assert_memo_canonical()
+        assert len(empty_memo) == 2 * SYSCALL_RANGE
+
+    @given(
+        st.integers(min_value=-2, max_value=SYSCALL_RANGE + 2).map(str)
+        | st.from_regex(r"\A[+\-0-9_ ]{1,6}\Z"),
+        st.sampled_from(["normal", "attack", "NORMAL", "", "x"]),
+        st.sampled_from([" ", "  ", "\t"]),
+        st.sampled_from(["\n", "\r\n", " \n", ""]),
+    )
+    def test_decode_matches_parse(self, number, label, sep, end):
+        line = f"ANTIGEN{sep}{number}{sep}{label}{end}".encode("ascii")
+        assert outcome(decode, line) == outcome(wire._parse, line)
+        assert outcome(decode, line) == outcome(wire._parse, line)
+        assert_memo_canonical()
+
+
 class TestServer:
     def test_two_clients_counts(self, server, compartment):
         a, b = client_socket(server), client_socket(server)
@@ -117,6 +260,7 @@ class TestServer:
                 send_lines(b, "SIGNAL cpu 0.5")
             assert wait_until(lambda: compartment.antigen_added_total == 10)
             assert wait_until(lambda: compartment.signals_set_total == 5)
+            assert server.frames_rejected_total == 0
         finally:
             a.close()
             b.close()
@@ -168,6 +312,7 @@ class TestServer:
             sock.settimeout(5)
             assert sock.recv(64) == b""
             assert compartment.antigen_added_total == 2
+            assert server.frames_rejected_total == 1
             assert [value for value, _ in compartment._store] == [5, 6]
         finally:
             sock.close()
@@ -187,6 +332,7 @@ class TestServer:
             sock.settimeout(5)
             assert sock.recv(64) == b""
             assert compartment.antigen_added_total == accepted
+            assert server.frames_rejected_total == extra
         finally:
             sock.close()
         if extra:
@@ -315,10 +461,20 @@ class TestServer:
             bad.close()
             good.close()
 
-    def test_bind_failure_raises(self, server):
+    def test_bind_failure_raises(self, server, monkeypatch):
+        created = []
+
+        class RecordingSocket(socket.socket):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                created.append(self)
+
+        monkeypatch.setattr(socket, "socket", RecordingSocket)
         other = TissueServer(create_compartment(seed=2), host="127.0.0.1", port=server.port)
         with pytest.raises(OSError):
             other.start()
+        assert len(created) == 1
+        assert created[0].fileno() == -1
 
 
 class TestReplay:

@@ -1,20 +1,20 @@
 """Immune-inspired process anomaly detection toolkit."""
 
 from .trace_model import (
-    DEFAULT_TABLE,
+    SYSCALL_NAMES,
     SYSCALL_RANGE,
     DatasetStats,
     Label,
     ReplayLog,
     SignalSample,
     SyscallEvent,
-    SyscallTable,
     dataset_stats,
     merge_to_replay_log,
     parse_monitor_log,
     parse_strace_log,
     read_replay_log,
     syscall_name,
+    syscall_number,
     write_replay_log,
 )
 from .scenarios import (

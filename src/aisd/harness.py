@@ -97,6 +97,11 @@ class ExperimentPlan:
 PLAN_KEYS = frozenset(
     {"dataset", *ExperimentPlan.__dataclass_fields__} - {"datasets"}
 )
+# how each numeric plan key's value is read
+_PLAN_NUMBERS = {
+    "runs_per_dataset": int, "start_delay": float, "tail_time": float,
+    "rate_multiplier": float, "seed_base": int,
+}
 
 
 def parse_plan(text: str, base_dir: str | Path = ".") -> ExperimentPlan:
@@ -104,11 +109,12 @@ def parse_plan(text: str, base_dir: str | Path = ".") -> ExperimentPlan:
 
     A dataset line reads `dataset = <path> <group>` with group one of
     normal, success or failure; relative paths resolve against ``base_dir``.
-    A key outside ``PLAN_KEYS``, such as a misspelling, is an error.
+    A key outside ``PLAN_KEYS``, such as a misspelling, is an error; a key
+    the file leaves out keeps its ``ExperimentPlan`` default.
     """
     base = Path(base_dir)
     datasets: list[PlanDataset] = []
-    scalars: dict[str, str] = {}
+    scalars: dict[str, object] = {}
     for lineno, raw, key, value in iter_kv_lines(text):
         if key not in PLAN_KEYS:
             raise ValueError(f"line {lineno}: unknown plan key {key!r}")
@@ -120,17 +126,14 @@ def parse_plan(text: str, base_dir: str | Path = ".") -> ExperimentPlan:
                 )
             path, group = parts
             datasets.append(PlanDataset(str(base / path), ScenarioKind(group)))
+        elif key == "params_file":
+            scalars[key] = str(base / value)
         else:
-            scalars[key] = value
-    return ExperimentPlan(
-        datasets=tuple(datasets),
-        runs_per_dataset=int(scalars.get("runs_per_dataset", 20)),
-        start_delay=float(scalars.get("start_delay", 10.0)),
-        tail_time=float(scalars.get("tail_time", 60.0)),
-        rate_multiplier=float(scalars.get("rate_multiplier", 1.0)),
-        seed_base=int(scalars.get("seed_base", 0)),
-        params_file=str(base / scalars["params_file"]) if "params_file" in scalars else None,
-    )
+            try:
+                scalars[key] = _PLAN_NUMBERS[key](value)
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}") from None
+    return ExperimentPlan(datasets=tuple(datasets), **scalars)
 
 
 def read_plan(path: str | Path) -> ExperimentPlan:

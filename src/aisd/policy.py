@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .tissue import ResponseRecord
-from .trace_model import DEFAULT_TABLE, Label, ReplayLog, SyscallTable
+from .trace_model import Label, ReplayLog, syscall_name
 
 
 class PolicyProvenance(str, enum.Enum):
@@ -149,21 +149,18 @@ def evaluate(policy: SyscallPolicy, log: ReplayLog) -> EvaluationRow:
 #   ...
 #   deny-default
 
-def format_policy(policy: SyscallPolicy, table: SyscallTable | None = None) -> str:
-    table = table or DEFAULT_TABLE
+def format_policy(policy: SyscallPolicy) -> str:
     lines = [f"# provenance: {policy.provenance.value}"]
     if policy.source_datasets:
         lines.append(f"# source: {','.join(policy.source_datasets)}")
     for nr in sorted(policy.permitted):
-        lines.append(f"permit {nr} # {table.name(nr)}")
+        lines.append(f"permit {nr} # {syscall_name(nr)}")
     lines.append("deny-default")
     return "\n".join(lines) + "\n"
 
 
-def write_policy(
-    policy: SyscallPolicy, path: str | Path, table: SyscallTable | None = None
-) -> None:
-    Path(path).write_text(format_policy(policy, table), encoding="utf-8", newline="\n")
+def write_policy(policy: SyscallPolicy, path: str | Path) -> None:
+    Path(path).write_text(format_policy(policy), encoding="utf-8", newline="\n")
 
 
 def parse_policy(text: str) -> SyscallPolicy:
@@ -207,13 +204,10 @@ def read_policy(path: str | Path) -> SyscallPolicy:
 # Report formatting
 # ---------------------------------------------------------------------------
 
-def format_frequency_table(
-    table: ResponseFrequencyTable, syscall_table: SyscallTable | None = None
-) -> str:
-    syscall_table = syscall_table or DEFAULT_TABLE
+def format_frequency_table(table: ResponseFrequencyTable) -> str:
     lines = ["syscall\tfrequency"]
     for nr, freq in table.rows:
-        lines.append(f"{syscall_table.name(nr)}({nr})\t{freq}")
+        lines.append(f"{syscall_name(nr)}({nr})\t{freq}")
     return "\n".join(lines) + "\n"
 
 

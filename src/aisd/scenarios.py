@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .trace_model import DEFAULT_TABLE, SYSCALL_RANGE, Label, ReplayLog, sort_by_time
+from .trace_model import SYSCALL_NAMES, Label, ReplayLog, sort_by_time
 
 
 class ScenarioKind(str, enum.Enum):
@@ -65,8 +65,6 @@ class ScenarioProfile:
     interaction_events: int
     duration: int
     seed: int
-    vocabulary: tuple[int, ...] = DEFAULT_VOCABULARY
-    attack_novel: tuple[int, ...] = ATTACK_NOVEL_SYSCALLS
     attack_novel_fraction: float = 0.0
 
     def __post_init__(self) -> None:
@@ -82,15 +80,8 @@ class ScenarioProfile:
                 raise ValueError(f"{self.kind.value} scenarios need a shutdown burst")
             if not 17 <= self.shutdown_burst <= 29:
                 raise ValueError("shutdown burst must be within [17, 29]")
-        if not self.vocabulary:
-            raise ValueError("vocabulary must not be empty")
         if not 0.0 <= self.attack_novel_fraction <= 1.0:
             raise ValueError("attack_novel_fraction must be within [0, 1]")
-        if self.attack_novel_fraction > 0 and not self.attack_novel:
-            raise ValueError("attack_novel_fraction set but no novel syscalls given")
-        for number in (*self.vocabulary, *self.attack_novel):
-            if not 0 <= number < SYSCALL_RANGE:
-                raise ValueError(f"syscall number {number} outside [0, {SYSCALL_RANGE})")
 
 
 class InfeasibleProfile(ValueError):
@@ -179,11 +170,11 @@ def synthesize_scenario(profile: ScenarioProfile) -> ReplayLog:
         burst = burst_times(second, count)
         values: list[int] = []
         if cover_vocabulary:
-            head = list(profile.vocabulary)[: count]
+            head = list(DEFAULT_VOCABULARY[:count])
             rng.shuffle(head)
             values.extend(head)
         while len(values) < count:
-            values.append(rng.choice(profile.vocabulary))
+            values.append(rng.choice(DEFAULT_VOCABULARY))
         times.extend(burst)
         numbers.extend(values)
         labels.extend([Label.NORMAL] * count)
@@ -193,9 +184,9 @@ def synthesize_scenario(profile: ScenarioProfile) -> ReplayLog:
         times.extend(burst_times(second, count))
         for _ in range(count):
             if rng.random() < profile.attack_novel_fraction:
-                numbers.append(rng.choice(profile.attack_novel))
+                numbers.append(rng.choice(ATTACK_NOVEL_SYSCALLS))
             else:
-                numbers.append(rng.choice(profile.vocabulary))
+                numbers.append(rng.choice(DEFAULT_VOCABULARY))
         labels.extend([Label.ATTACK] * count)
         cpu_bursts.append((second, count))
 
@@ -220,51 +211,47 @@ def synthesize_scenario(profile: ScenarioProfile) -> ReplayLog:
     )
 
 
-def _profile(name: str, kind: ScenarioKind, **kwargs) -> ScenarioProfile:
-    return ScenarioProfile(name=name, kind=kind, **kwargs)
-
-
 # Parameterized to land exactly on the reference statistics:
 #   normal1 (38, 434, 405)   normal2 (104, 450, 405)
 #   success1 (55, 1739, 1102) success2 (36, 1743, 790)
 #   failure1 (54, 518, 405)  failure2 (68, 495, 405)
 BUNDLED_PROFILES: dict[str, ScenarioProfile] = {
-    "normal1": _profile(
+    "normal1": ScenarioProfile(
         "normal1", ScenarioKind.NORMAL,
         startup_burst=405, shutdown_burst=17, attack_bursts=(),
         interaction_events=12, duration=38, seed=101,
     ),
-    "normal2": _profile(
+    "normal2": ScenarioProfile(
         "normal2", ScenarioKind.NORMAL,
         startup_burst=405, shutdown_burst=29, attack_bursts=(),
         interaction_events=16, duration=104, seed=102,
     ),
-    "success1": _profile(
+    "success1": ScenarioProfile(
         "success1", ScenarioKind.SUCCESS,
         startup_burst=405, shutdown_burst=None,
         attack_bursts=((1102, 20), (129, 30), (98, 40)),
         interaction_events=5, duration=55, seed=103,
         attack_novel_fraction=0.125,
     ),
-    "success2": _profile(
+    "success2": ScenarioProfile(
         "success2", ScenarioKind.SUCCESS,
         startup_burst=405, shutdown_burst=None,
         attack_bursts=((790, 15), (445, 22), (98, 29)),
         interaction_events=5, duration=36, seed=104,
         attack_novel_fraction=0.125,
     ),
-    "failure1": _profile(
+    "failure1": ScenarioProfile(
         "failure1", ScenarioKind.FAILURE,
         startup_burst=405, shutdown_burst=17, attack_bursts=((96, 25),),
         interaction_events=0, duration=54, seed=105,
     ),
-    "failure2": _profile(
+    "failure2": ScenarioProfile(
         "failure2", ScenarioKind.FAILURE,
         startup_burst=405, shutdown_burst=28, attack_bursts=((62, 30),),
         interaction_events=0, duration=68, seed=106,
     ),
 }
 
-assert all(v in DEFAULT_TABLE for v in DEFAULT_VOCABULARY)
-assert all(v in DEFAULT_TABLE for v in ATTACK_NOVEL_SYSCALLS)
+assert all(v in SYSCALL_NAMES for v in DEFAULT_VOCABULARY)
+assert all(v in SYSCALL_NAMES for v in ATTACK_NOVEL_SYSCALLS)
 assert not set(DEFAULT_VOCABULARY) & set(ATTACK_NOVEL_SYSCALLS)

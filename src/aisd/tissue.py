@@ -32,11 +32,10 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Iterator, Mapping, Sequence
 
 from . import twocell
-from .trace_model import DEFAULT_TABLE, Label, SyscallTable
+from .trace_model import Label, syscall_name
 
 logger = logging.getLogger(__name__)
 
@@ -57,7 +56,7 @@ class CycleReport:
 
 @dataclass(frozen=True)
 class TissueParams:
-    """Environment parameters; everything else is per-algorithm."""
+    """Environment parameters: signal names, store capacity and cycle rate."""
 
     signals: tuple[str, ...] = ("cpu",)
     antigen_capacity: int = 10_000
@@ -77,7 +76,6 @@ class Compartment:
 
     def __init__(self, params: TissueParams, seed: int):
         self.params = params
-        self.seed = seed
         self.rng = random.Random(seed)
         self.cycle_count = 0
         self.response_log: list[ResponseRecord] = []
@@ -91,7 +89,8 @@ class Compartment:
         # bounded store: at capacity, append drops the oldest antigen
         self._store: deque[tuple[int, Label]] = deque(maxlen=params.antigen_capacity)
         self._signals: dict[str, float] = {name: 0.0 for name in params.signals}
-        self._response_listeners: list[Callable[[ResponseRecord], None]] = []
+        # called with each response as it is emitted, such as a server's forwarder
+        self.response_listener: Callable[[ResponseRecord], None] | None = None
         self._lock = threading.RLock()
         self._realtime_start: float | None = None
 
@@ -172,15 +171,8 @@ class Compartment:
     def emit_response(self, cell_id: int, matched_value: int) -> None:
         record = ResponseRecord(self.cycle_count, self.wall_time(), cell_id, matched_value)
         self.response_log.append(record)
-        for listener in self._response_listeners:
-            listener(record)
-
-    def add_response_listener(self, listener: Callable[[ResponseRecord], None]) -> None:
-        self._response_listeners.append(listener)
-
-    def remove_response_listener(self, listener: Callable[[ResponseRecord], None]) -> None:
-        if listener in self._response_listeners:
-            self._response_listeners.remove(listener)
+        if self.response_listener is not None:
+            self.response_listener(record)
 
     # -- the cycle ----------------------------------------------------------
 
@@ -223,37 +215,31 @@ def parse_kv_text(text: str) -> dict[str, str]:
 
 
 def tissue_params_from_kv(kv: Mapping[str, str]) -> TissueParams:
-    defaults = TissueParams()
-    signals = tuple(
-        s.strip() for s in kv.get("signals", ",".join(defaults.signals)).split(",") if s.strip()
-    )
-    return TissueParams(
-        signals=signals,
-        antigen_capacity=int(kv.get("antigen_capacity", defaults.antigen_capacity)),
-        cycles_per_second=float(kv.get("cycles_per_second", defaults.cycles_per_second)),
-    )
+    """Params from the keys present; an absent key keeps its default."""
+    kwargs: dict[str, object] = {}
+    if "signals" in kv:
+        kwargs["signals"] = tuple(s.strip() for s in kv["signals"].split(",") if s.strip())
+    for key, convert in (("antigen_capacity", int), ("cycles_per_second", float)):
+        if key in kv:
+            try:
+                kwargs[key] = convert(kv[key])
+            except ValueError as exc:
+                raise ValueError(f"bad value for {key!r}: {exc}") from None
+    return TissueParams(**kwargs)
 
 
 # ---------------------------------------------------------------------------
 # Response log output
 # ---------------------------------------------------------------------------
 
-def format_response_csv(
-    records: list[ResponseRecord], table: SyscallTable | None = None
-) -> str:
-    table = table or DEFAULT_TABLE
+def format_response_csv(records: list[ResponseRecord]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["cycle", "wall_time", "cell_id", "syscall_number", "syscall_name"])
     for rec in records:
         writer.writerow(
             [rec.cycle, f"{rec.wall_time:.3f}", rec.cell_id, rec.matched_value,
-             table.name(rec.matched_value)]
+             syscall_name(rec.matched_value)]
         )
     return out.getvalue()
 
-
-def write_response_csv(
-    records: list[ResponseRecord], path: str | Path, table: SyscallTable | None = None
-) -> None:
-    Path(path).write_text(format_response_csv(records, table), encoding="utf-8")

@@ -1,4 +1,4 @@
-"""Trace records, log parsers, dataset statistics and the syscall number table.
+"""Trace records, log parsers, dataset statistics and the syscall name table.
 
 The records here are the raw material of every other module: timestamped
 syscall events (antigen) and context signal samples (CPU usage).  A
@@ -17,7 +17,6 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable
 
@@ -67,7 +66,6 @@ class SyscallEvent:
 
     timestamp: float
     syscall_number: int
-    pid: int | None = None
     label: Label = Label.NORMAL
 
     def __post_init__(self) -> None:
@@ -76,8 +74,6 @@ class SyscallEvent:
             raise ValueError(
                 f"syscall number {self.syscall_number} outside [0, {SYSCALL_RANGE})"
             )
-        if self.pid is not None and self.pid < 0:
-            raise ValueError(f"pid must be >= 0, got {self.pid}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -171,9 +167,7 @@ class ReplayLog:
         return tuple(Counter(zip(self.event_numbers, self.event_labels)).items())
 
     def syscall_events(self) -> list[SyscallEvent]:
-        return list(map(
-            SyscallEvent, self.event_times, self.event_numbers, repeat(None), self.event_labels
-        ))
+        return list(map(SyscallEvent, self.event_times, self.event_numbers, self.event_labels))
 
     def signal_samples(self) -> list[SignalSample]:
         return list(map(SignalSample, self.signal_times, self.signal_names, self.signal_values))
@@ -203,7 +197,7 @@ class ReplayRecords(Sequence):
         log = self._log
         k = log.merged_order[index]
         if k >= 0:
-            return SyscallEvent(log.event_times[k], log.event_numbers[k], None, log.event_labels[k])
+            return SyscallEvent(log.event_times[k], log.event_numbers[k], log.event_labels[k])
         k = ~k
         return SignalSample(log.signal_times[k], log.signal_names[k], log.signal_values[k])
 
@@ -226,13 +220,13 @@ class DatasetStats:
 
 
 # ---------------------------------------------------------------------------
-# Syscall number table
+# Syscall names
 # ---------------------------------------------------------------------------
 
 # Classic 32-bit syscall numbers.  The socket family is mapped into the
 # 300 block (300 + socketcall subcode), which is how the numbers 301/303
 # etc. arise for socket/connect.
-_DEFAULT_SYSCALLS: dict[int, str] = {
+SYSCALL_NAMES: dict[int, str] = {
     1: "exit",
     2: "fork",
     3: "read",
@@ -443,69 +437,30 @@ _NAME_ALIASES = {
 }
 
 
-class SyscallTable:
-    """Bidirectional syscall number/name map."""
-
-    def __init__(self, numbers_to_names: dict[int, str]):
-        self._names = dict(numbers_to_names)
-        self._numbers: dict[str, int] = {}
-        for nr, name in self._names.items():
-            # first entry wins so canonical low numbers keep their names
-            self._numbers.setdefault(name, nr)
-
-    def name(self, number: int) -> str:
-        return self._names.get(number, f"unknown({number})")
-
-    def number(self, name: str) -> int | None:
-        nr = self._numbers.get(name)
-        if nr is None:
-            nr = _NAME_ALIASES.get(name)
-        return nr
-
-    def __contains__(self, number: int) -> bool:
-        return number in self._names
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-    @classmethod
-    def from_tsv(cls, text: str) -> SyscallTable:
-        """Load a table from `number<TAB>name` lines; # comments allowed."""
-        mapping: dict[int, str] = {}
-        for i, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise TraceError(f"line {i}: expected 'number<TAB>name', got {raw!r}")
-            try:
-                nr = int(parts[0])
-            except ValueError:
-                raise TraceError(f"line {i}: bad syscall number {parts[0]!r}") from None
-            mapping[nr] = parts[1].strip()
-        return cls(mapping)
-
-    @classmethod
-    def from_tsv_file(cls, path: str | Path) -> SyscallTable:
-        return cls.from_tsv(Path(path).read_text(encoding="utf-8"))
+# name -> number; a table name wins over an alias of the same spelling
+_SYSCALL_NUMBERS: dict[str, int] = {
+    **_NAME_ALIASES, **{name: nr for nr, name in SYSCALL_NAMES.items()}
+}
 
 
-DEFAULT_TABLE = SyscallTable(_DEFAULT_SYSCALLS)
-
-
-def syscall_name(number: int, table: SyscallTable | None = None) -> str:
+def syscall_name(number: int) -> str:
     """Name for a syscall number, or ``unknown(<n>)`` if unmapped."""
-    return (table or DEFAULT_TABLE).name(number)
+    return SYSCALL_NAMES.get(number, f"unknown({number})")
+
+
+def syscall_number(name: str) -> int | None:
+    """Number for a table name or strace alias, or None if unknown."""
+    return _SYSCALL_NUMBERS.get(name)
 
 
 # ---------------------------------------------------------------------------
 # Parsers
 # ---------------------------------------------------------------------------
 
-# `<float-timestamp> <name>(<args...>) = <ret>` with an optional leading pid.
+# `<float-timestamp> <name>(<args...>) = <ret>` with an optional leading pid,
+# which is not kept.
 _STRACE_RECORD_RE = re.compile(
-    r"^(?:(?P<pid>\d+)\s+)?(?P<ts>\S+)\s+(?P<name>[A-Za-z_]\w*)\((?P<args>.*)\)\s*=\s*(?P<ret>\S.*)$"
+    r"^(?:\d+\s+)?(?P<ts>\S+)\s+(?P<name>[A-Za-z_]\w*)\((?P<args>.*)\)\s*=\s*(?P<ret>\S.*)$"
 )
 
 
@@ -521,7 +476,6 @@ class StraceParseResult:
 def parse_strace_log(
     text: str,
     *,
-    table: SyscallTable | None = None,
     strict: bool = False,
     label: Label = Label.NORMAL,
 ) -> StraceParseResult:
@@ -532,7 +486,6 @@ def parse_strace_log(
     that does not parse is an error; an unknown syscall name is skipped and
     counted, or raises in strict mode.
     """
-    table = table or DEFAULT_TABLE
     events: list[SyscallEvent] = []
     skipped = 0
     unknown = 0
@@ -555,33 +508,25 @@ def parse_strace_log(
         except ValueError as exc:
             raise StraceParseError(f"line {lineno}: {exc}") from None
         name = m.group("name")
-        nr = table.number(name)
+        nr = syscall_number(name)
         if nr is None:
             if strict:
                 raise StraceParseError(f"line {lineno}: unknown syscall name {name!r}")
             logger.warning("line %d: unknown syscall name %r skipped", lineno, name)
             unknown += 1
             continue
-        pid = int(m.group("pid")) if m.group("pid") else None
-        events.append(SyscallEvent(timestamp, nr, pid=pid, label=label))
+        events.append(SyscallEvent(timestamp, nr, label))
     return StraceParseResult(tuple(events), skipped=skipped, unknown=unknown)
 
 
-def parse_monitor_log(
-    text: str,
-    *,
-    signal_name: str = "cpu",
-    full_scale_cpu: float = 100.0,
-) -> list[SignalSample]:
-    """Parse process-monitor records into CPU signal samples.
+def parse_monitor_log(text: str) -> list[SignalSample]:
+    """Parse process-monitor records into ``cpu`` signal samples.
 
     Each record is `<timestamp> <proc-name> <n-children> <cpu%> <mem>`;
-    one sample is produced per CPU reading, normalized by the full-scale
-    percentage.  Readings outside [0, full_scale] are clamped with a warning;
-    timestamps must be non-decreasing.
+    one sample is produced per CPU reading, as a fraction of 100%.  Readings
+    outside [0, 100] are clamped with a warning; timestamps must be
+    non-decreasing.
     """
-    if full_scale_cpu <= 0:
-        raise ValueError("full_scale_cpu must be positive")
     samples: list[SignalSample] = []
     last_ts = -math.inf
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -606,16 +551,11 @@ def parse_monitor_log(
                 f"line {lineno}: timestamp {ts} decreases (previous {last_ts})"
             )
         last_ts = ts
-        value = cpu_raw / full_scale_cpu
+        value = cpu_raw / 100.0
         if value < 0.0 or value > 1.0:
-            logger.warning(
-                "line %d: cpu reading %s outside [0, %s], clamped",
-                lineno,
-                cpu_raw,
-                full_scale_cpu,
-            )
+            logger.warning("line %d: cpu reading %s outside [0, 100], clamped", lineno, cpu_raw)
             value = min(1.0, max(0.0, value))
-        samples.append(SignalSample(ts, signal_name, value))
+        samples.append(SignalSample(ts, "cpu", value))
     return samples
 
 

@@ -27,7 +27,7 @@ frame per draw.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 from .trace_model import SYSCALL_RANGE
@@ -63,15 +63,18 @@ class TwocellParams:
             raise ValueError("min_presentation must be <= max_presentation")
 
 
-def params_from_kv(kv: Mapping[str, str], prefix: str = "twocell.") -> TwocellParams:
-    """Build params from a key = value mapping, honoring the given prefix."""
-    defaults = TwocellParams()
+def params_from_kv(kv: Mapping[str, str]) -> TwocellParams:
+    """Params from the ``twocell.<field>`` keys present; an absent key keeps
+    its default."""
     kwargs = {}
-    for name in defaults.__dataclass_fields__:
-        key = prefix + name
+    for name in TwocellParams.__dataclass_fields__:
+        key = f"twocell.{name}"
         if key in kv:
-            kwargs[name] = int(kv[key])
-    return replace(defaults, **kwargs)
+            try:
+                kwargs[name] = int(kv[key])
+            except ValueError as exc:
+                raise ValueError(f"bad value for {key!r}: {exc}") from None
+    return TwocellParams(**kwargs)
 
 
 def presentation_period(cpu_level: float, params: TwocellParams) -> int:

@@ -260,7 +260,6 @@ class TissueServer:
         self._accept_thread: threading.Thread | None = None
         self._threads: list[threading.Thread] = []
         self._stopping = threading.Event()
-        self._response_listener = None
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -277,9 +276,7 @@ class TissueServer:
         self._listener = listener
         self.port = listener.getsockname()[1]
         self.compartment.start_realtime_clock()
-
-        self._response_listener = self._forward_response
-        self.compartment.add_response_listener(self._response_listener)
+        self.compartment.response_listener = self._forward_response
 
         if self.cycles_per_second:
             pacer = threading.Thread(target=self._pace_cycles, daemon=True)
@@ -313,9 +310,7 @@ class TissueServer:
                 pass
         for thread in self._threads:
             thread.join(timeout=5.0)
-        if self._response_listener is not None:
-            self.compartment.remove_response_listener(self._response_listener)
-            self._response_listener = None
+        self.compartment.response_listener = None
 
     def __enter__(self) -> TissueServer:
         self.start()

@@ -76,6 +76,18 @@ class TestPlanParsing:
         with pytest.raises(ValueError, match="dataset"):
             parse_plan("dataset = onlyonepart\n")
 
+    @pytest.mark.parametrize(
+        "key", ["runs_per_dataset", "start_delay", "tail_time", "rate_multiplier", "seed_base"]
+    )
+    def test_bad_value_names_key_and_line(self, key):
+        with pytest.raises(ValueError, match=f"^line 3: bad value for '{key}': .*'ten'$"):
+            parse_plan(f"# plan\ndataset = a.tcr normal\n{key} = ten\n")
+
+    def test_absent_keys_keep_plan_defaults(self, tmp_path):
+        plan = parse_plan("dataset = a.tcr normal\n", base_dir=tmp_path)
+        datasets = (PlanDataset(str(tmp_path / "a.tcr"), ScenarioKind.NORMAL),)
+        assert plan == ExperimentPlan(datasets=datasets)
+
     def test_plan_validation(self):
         with pytest.raises(ValueError):
             ExperimentPlan(datasets=(), runs_per_dataset=0)
@@ -88,6 +100,16 @@ class TestPlanParsing:
         tissue, twocell = load_params_file(params)
         assert tissue.cycles_per_second == 20.0
         assert twocell.n_type2 == 7
+
+    @pytest.mark.parametrize(
+        "line, key", [("twocell.n_type1 = 1.5", "twocell.n_type1"),
+                      ("antigen_capacity = lots", "antigen_capacity")],
+    )
+    def test_params_file_bad_value_names_key(self, tmp_path, line, key):
+        params = tmp_path / "params.txt"
+        params.write_text(f"signals = cpu\n{line}\n")
+        with pytest.raises(ValueError, match=f"^bad value for '{key}': "):
+            load_params_file(params)
 
     @pytest.mark.parametrize("key", ["twocell.n_typ1", "antigen_capacty", "twocell.seed", "seed"])
     def test_params_file_unknown_key(self, tmp_path, key):

@@ -87,7 +87,7 @@ def test_merge_preserves_counts_and_order(event_times, sample_times):
 file_floats = st.integers(min_value=0, max_value=40).map(lambda k: k / 8)
 file_events = st.lists(
     st.builds(SyscallEvent, file_floats, st.integers(min_value=0, max_value=511),
-              st.none(), st.sampled_from(list(Label))),
+              st.sampled_from(list(Label))),
     max_size=40,
 )
 file_samples = st.lists(

@@ -217,9 +217,3 @@ def test_written_log_is_the_log_in_memory(name):
         log, *run, tail_time=1.0
     )
 
-
-@pytest.mark.parametrize("field", ["vocabulary", "attack_novel"])
-def test_out_of_range_syscall_number_rejected(field):
-    base = BUNDLED_PROFILES["success1"]
-    with pytest.raises(ValueError, match=r"^syscall number 512 outside \[0, 512\)$"):
-        dataclasses.replace(base, **{field: (*getattr(base, field), 512)})

@@ -9,7 +9,7 @@ import pytest
 
 import aisd.trace_model
 from aisd.trace_model import (
-    DEFAULT_TABLE,
+    SYSCALL_NAMES,
     Label,
     MonitorParseError,
     ReplayLog,
@@ -17,7 +17,6 @@ from aisd.trace_model import (
     SignalSample,
     StraceParseError,
     SyscallEvent,
-    SyscallTable,
     dataset_stats,
     format_replay_log,
     merge_to_replay_log,
@@ -25,6 +24,7 @@ from aisd.trace_model import (
     parse_replay_log,
     parse_strace_log,
     syscall_name,
+    syscall_number,
 )
 
 STRACE_FIXTURE = """\
@@ -54,24 +54,21 @@ class TestSyscallTable:
         assert syscall_name(999) == "unknown(999)"
 
     def test_reverse_lookup(self):
-        assert DEFAULT_TABLE.number("open") == 5
-        assert DEFAULT_TABLE.number("recvfrom") == 312
-        assert DEFAULT_TABLE.number("nosuchcall") is None
+        assert syscall_number("open") == 5
+        assert syscall_number("recvfrom") == 312
+        assert syscall_number("nosuchcall") is None
 
-    def test_from_tsv(self):
-        table = SyscallTable.from_tsv("# comment\n1\texit\n42\tanswer\n")
-        assert table.name(42) == "answer"
-        assert table.number("exit") == 1
-        assert table.name(7) == "unknown(7)"
+    @pytest.mark.parametrize(
+        "alias, number", [("mmap", 90), ("_newselect", 142), ("oldselect", 142), ("fcntl64", 221)]
+    )
+    def test_strace_aliases(self, alias, number):
+        assert syscall_number(alias) == number
 
-    def test_from_tsv_rejects_garbage(self):
-        with pytest.raises(ValueError, match="line 1"):
-            SyscallTable.from_tsv("not a table line\n")
-
-    def test_from_tsv_file(self, tmp_path):
-        path = tmp_path / "table.tsv"
-        path.write_text("5\topen\n")
-        assert SyscallTable.from_tsv_file(path).name(5) == "open"
+    def test_every_table_name_round_trips(self):
+        # no alias shadows a table name
+        for number, name in SYSCALL_NAMES.items():
+            assert syscall_number(name) == number
+            assert syscall_name(number) == name
 
 
 class TestStraceParser:
@@ -94,8 +91,8 @@ class TestStraceParser:
 
     def test_pid_prefix(self):
         result = parse_strace_log("712 1.5 close(3) = 0\n")
-        assert result.events[0].pid == 712
         assert result.events[0].syscall_number == 6
+        assert result == parse_strace_log("1.5 close(3) = 0\n")
 
     def test_malformed_timestamp_raises_with_line(self):
         with pytest.raises(StraceParseError, match="line 2"):

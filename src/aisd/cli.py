@@ -67,7 +67,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     kv = parse_kv_text(Path(args.params).read_text(encoding="utf-8")) if args.params else {}
     check_params_keys(kv, extra=("seed",))
     tissue_params, twocell_params = tissue_params_from_kv(kv), twocell_params_from_kv(kv)
-    seed = args.seed if args.seed is not None else int(kv.get("seed", 0))
+    seed = args.seed
+    if seed is None:
+        try:
+            seed = int(kv.get("seed", 0))
+        except ValueError as exc:
+            raise ValueError(f"bad value for 'seed': {exc}") from None
     compartment = create_compartment(tissue_params, seed)
     attach_twocell(compartment, twocell_params)
     server = TissueServer(

@@ -82,10 +82,12 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if self.runs_per_dataset < 1:
             raise ValueError("runs_per_dataset must be >= 1")
-        if self.start_delay < 0 or self.tail_time < 0:
-            raise ValueError("delays must be non-negative")
-        if self.rate_multiplier <= 0:
-            raise ValueError("rate_multiplier must be positive")
+        # the chained comparisons are also false for nan
+        for name, delay in (("start_delay", self.start_delay), ("tail_time", self.tail_time)):
+            if not 0 <= delay < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {delay}")
+        if not 0 < self.rate_multiplier < math.inf:
+            raise ValueError(f"rate_multiplier must be finite and > 0, got {self.rate_multiplier}")
 
     def normal_datasets(self) -> list[PlanDataset]:
         return [d for d in self.datasets if d.group is ScenarioKind.NORMAL]
@@ -130,9 +132,12 @@ def parse_plan(text: str, base_dir: str | Path = ".") -> ExperimentPlan:
             scalars[key] = str(base / value)
         else:
             try:
-                scalars[key] = _PLAN_NUMBERS[key](value)
+                number = _PLAN_NUMBERS[key](value)
+                # the plan's own checks, here where the line is known
+                ExperimentPlan(datasets=(), **{key: number})
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}") from None
+            scalars[key] = number
     return ExperimentPlan(datasets=tuple(datasets), **scalars)
 
 

@@ -149,44 +149,70 @@ def synthesize_scenario(profile: ScenarioProfile) -> ReplayLog:
     then stably sorted by time; CPU samples come out in time order.  Times
     and CPU levels lie on the microsecond grid that ``format_replay_log``
     writes, so a written log parses back to the same columns.
+
+    The draws are those of ``random.Random`` itself: times call ``random``,
+    the startup burst's head is a ``shuffle``, and each syscall is a
+    ``choice`` made inline, ``getrandbits(len(seq).bit_length())`` with
+    values >= ``len(seq)`` drawn again, as ``choice`` does, so the stream is
+    the same draw for draw without a Python frame per draw.
     """
     occupied = _burst_seconds(profile)
     rng = random.Random(profile.seed)
+    uniform = rng.random
+    getrandbits = rng.getrandbits
+    floor = math.floor
     times: list[float] = []
     numbers: list[int] = []
     labels: list[Label] = []
     cpu_bursts: list[tuple[int, int]] = []
+    vocabulary = DEFAULT_VOCABULARY
+    n_vocabulary = len(vocabulary)
+    vocabulary_bits = n_vocabulary.bit_length()
+    novel = ATTACK_NOVEL_SYSCALLS
+    n_novel = len(novel)
+    novel_bits = n_novel.bit_length()
 
     def burst_times(second: int, count: int) -> list[float]:
         # round(t, 6) at a third of its cost; a whole number of microseconds
         # parses back from the file unchanged
-        return sorted(
-            math.floor((second + rng.random()) * 1e6 + 0.5) / 1e6 for _ in range(count)
-        )
+        burst = [floor((second + uniform()) * 1e6 + 0.5) / 1e6 for _ in range(count)]
+        burst.sort()
+        return burst
 
     def add_normal_burst(second: int, count: int, cover_vocabulary: bool) -> None:
         if count == 0:
             return
-        burst = burst_times(second, count)
-        values: list[int] = []
+        times.extend(burst_times(second, count))
+        fill = count
         if cover_vocabulary:
-            head = list(DEFAULT_VOCABULARY[:count])
+            head = list(vocabulary[:count])
             rng.shuffle(head)
-            values.extend(head)
-        while len(values) < count:
-            values.append(rng.choice(DEFAULT_VOCABULARY))
-        times.extend(burst)
-        numbers.extend(values)
+            numbers.extend(head)
+            fill -= len(head)
+        add = numbers.append
+        for _ in range(fill):
+            k = getrandbits(vocabulary_bits)  # choice(vocabulary), inline
+            while k >= n_vocabulary:
+                k = getrandbits(vocabulary_bits)
+            add(vocabulary[k])
         labels.extend([Label.NORMAL] * count)
         cpu_bursts.append((second, count))
 
     def add_attack_burst(second: int, count: int) -> None:
         times.extend(burst_times(second, count))
+        novel_fraction = profile.attack_novel_fraction
+        add = numbers.append
         for _ in range(count):
-            if rng.random() < profile.attack_novel_fraction:
-                numbers.append(rng.choice(ATTACK_NOVEL_SYSCALLS))
+            if uniform() < novel_fraction:
+                k = getrandbits(novel_bits)  # choice(novel), inline
+                while k >= n_novel:
+                    k = getrandbits(novel_bits)
+                add(novel[k])
             else:
-                numbers.append(rng.choice(DEFAULT_VOCABULARY))
+                k = getrandbits(vocabulary_bits)  # choice(vocabulary), inline
+                while k >= n_vocabulary:
+                    k = getrandbits(vocabulary_bits)
+                add(vocabulary[k])
         labels.extend([Label.ATTACK] * count)
         cpu_bursts.append((second, count))
 

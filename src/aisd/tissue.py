@@ -19,7 +19,8 @@ cycles, in one locked ``deque.extend``.  Both count the antigen they add and
 the oldest antigen the bounded store drops to make room.
 
 Run totals on the compartment: antigen added and dropped, signals set and
-clamped into [0, 1], idle cycles and Type 2 lock resets.
+clamped into [0, 1], idle cycles, Type 2 lock resets, and the antigen
+consumed and responses emitted that the cycle reports add up to.
 """
 from __future__ import annotations
 
@@ -67,8 +68,10 @@ class TissueParams:
             raise ValueError("at least one signal name is required")
         if self.antigen_capacity < 1:
             raise ValueError("antigen_capacity must be >= 1")
-        if self.cycles_per_second <= 0:
-            raise ValueError("cycles_per_second must be positive")
+        if not 0 < self.cycles_per_second < math.inf:  # also false for nan
+            raise ValueError(
+                f"cycles_per_second must be finite and > 0, got {self.cycles_per_second}"
+            )
 
 
 class Compartment:
@@ -85,6 +88,8 @@ class Compartment:
         self.signals_clamped_total = 0
         self.idle_cycles_total = 0
         self.type2_resets_total = 0
+        self.antigen_consumed_total = 0
+        self.responses_total = 0
         self.twocell: twocell.TwoCellState | None = None
         # bounded store: at capacity, append drops the oldest antigen
         self._store: deque[tuple[int, Label]] = deque(maxlen=params.antigen_capacity)
@@ -184,7 +189,11 @@ class Compartment:
             logged = len(self.response_log)
             if self.twocell is not None:
                 twocell.run_cells(self)
-            return CycleReport(stored - len(self._store), len(self.response_log) - logged)
+            consumed = stored - len(self._store)
+            responses = len(self.response_log) - logged
+            self.antigen_consumed_total += consumed
+            self.responses_total += responses
+            return CycleReport(consumed, responses)
 
 
 def create_compartment(params: TissueParams | None = None, seed: int = 0) -> Compartment:

@@ -17,6 +17,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Iterable
 
@@ -52,6 +53,8 @@ class ReplayLogFormatError(TraceError):
 
 # value -> member, so parsers and the wire decoder skip the enum call on valid labels
 LABELS = {label.value: label for label in Label}
+# member -> value, a dict read where the enum's ``.value`` is a descriptor call
+LABEL_TEXT = {label: label.value for label in Label}
 
 
 def _check_timestamp(timestamp: float) -> None:
@@ -60,7 +63,7 @@ def _check_timestamp(timestamp: float) -> None:
         raise ValueError(f"timestamp must be finite and >= 0, got {timestamp}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SyscallEvent:
     """One observed syscall: antigen from the monitored process."""
 
@@ -68,15 +71,21 @@ class SyscallEvent:
     syscall_number: int
     label: Label = Label.NORMAL
 
-    def __post_init__(self) -> None:
-        _check_timestamp(self.timestamp)
-        if not 0 <= self.syscall_number < SYSCALL_RANGE:
-            raise ValueError(
-                f"syscall number {self.syscall_number} outside [0, {SYSCALL_RANGE})"
-            )
+    # Hand-written: the checks inline, then each slot set through its
+    # descriptor, which costs less than the generated frozen __init__'s
+    # object.__setattr__ per field and __post_init__ call.
+    def __init__(self, timestamp: float, syscall_number: int, label: Label = Label.NORMAL):
+        if not 0.0 <= timestamp < math.inf:
+            raise ValueError(f"timestamp must be finite and >= 0, got {timestamp}")
+        if not 0 <= syscall_number < SYSCALL_RANGE:
+            raise ValueError(f"syscall number {syscall_number} outside [0, {SYSCALL_RANGE})")
+        set_timestamp, set_number, set_label = _EVENT_SLOTS
+        set_timestamp(self, timestamp)
+        set_number(self, syscall_number)
+        set_label(self, label)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class SignalSample:
     """One context-signal reading, normalized to [0, 1]."""
 
@@ -84,11 +93,22 @@ class SignalSample:
     signal_name: str
     value: float
 
-    def __post_init__(self) -> None:
-        _check_timestamp(self.timestamp)
-        if not 0.0 <= self.value <= 1.0:
-            raise ValueError(f"signal value {self.value} outside [0, 1]")
+    # hand-written as SyscallEvent's is
+    def __init__(self, timestamp: float, signal_name: str, value: float):
+        if not 0.0 <= timestamp < math.inf:
+            raise ValueError(f"timestamp must be finite and >= 0, got {timestamp}")
+        if not 0.0 <= value <= 1.0:
+            raise ValueError(f"signal value {value} outside [0, 1]")
+        set_timestamp, set_name, set_value = _SIGNAL_SLOTS
+        set_timestamp(self, timestamp)
+        set_name(self, signal_name)
+        set_value(self, value)
 
+
+# each field's slot descriptor setter, in field order; it stores the value
+# where the frozen __setattr__ would refuse
+_EVENT_SLOTS = tuple(getattr(SyscallEvent, f).__set__ for f in SyscallEvent.__slots__)
+_SIGNAL_SLOTS = tuple(getattr(SignalSample, f).__set__ for f in SignalSample.__slots__)
 
 Record = SyscallEvent | SignalSample
 
@@ -611,17 +631,32 @@ def dataset_stats(log: ReplayLog) -> DatasetStats:
 #   S <timestamp> <signal_name> <value>
 
 def format_replay_log(log: ReplayLog) -> str:
-    events = [
-        f"A {t:.6f} {number} {label.value}"
-        for t, number, label in zip(log.event_times, log.event_numbers, log.event_labels)
-    ]
-    signals = [
-        f"S {t:.6f} {name} {value:.6f}"
-        for t, name, value in zip(log.signal_times, log.signal_names, log.signal_values)
-    ]
-    lines = [f"# scenario {log.scenario_name}"]
-    lines += _interleave(events, signals, log.event_times, log.signal_times)
-    return "\n".join(lines) + "\n"
+    """The log's text, one line per record in merged time order.
+
+    Lines are formatted a block at a time: the run of events between two
+    signal samples is one ``%`` of a repeated line pattern, which writes
+    the same text as formatting each line on its own.
+    """
+    event_times = log.event_times
+    event_numbers = log.event_numbers
+    event_labels = log.event_labels
+    blocks = [f"# scenario {log.scenario_name}\n"]
+
+    def add_events(start: int, end: int) -> None:
+        if end > start:
+            labels = map(LABEL_TEXT.__getitem__, event_labels[start:end])
+            fields = zip(event_times[start:end], event_numbers[start:end], labels)
+            blocks.append(("A %.6f %d %s\n" * (end - start)) % tuple(chain.from_iterable(fields)))
+
+    start = 0
+    for t, name, value in zip(log.signal_times, log.signal_names, log.signal_values):
+        # a signal goes before the events that share its timestamp
+        end = bisect_left(event_times, t, start)
+        add_events(start, end)
+        blocks.append("S %.6f %s %.6f\n" % (t, name, value))
+        start = end
+    add_events(start, len(event_times))
+    return "".join(blocks)
 
 
 def write_replay_log(log: ReplayLog, path: str | Path) -> None:

@@ -83,6 +83,21 @@ class TestPlanParsing:
         with pytest.raises(ValueError, match=f"^line 3: bad value for '{key}': .*'ten'$"):
             parse_plan(f"# plan\ndataset = a.tcr normal\n{key} = ten\n")
 
+    @pytest.mark.parametrize("key", ["start_delay", "tail_time", "rate_multiplier"])
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_key_and_line(self, key, token):
+        with pytest.raises(ValueError, match=f"^line 3: bad value for '{key}': {key} must be finite"):
+            parse_plan(f"# plan\ndataset = a.tcr normal\n{key} = {token}\n")
+        with pytest.raises(ValueError, match=f"^{key} must be finite"):
+            ExperimentPlan(datasets=(), **{key: float(token)})
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_params_file_non_finite_cycle_rate(self, tmp_path, token):
+        params = tmp_path / "params.txt"
+        params.write_text(f"signals = cpu\ncycles_per_second = {token}\n")
+        with pytest.raises(ValueError, match="^cycles_per_second must be finite and > 0"):
+            load_params_file(params)
+
     def test_absent_keys_keep_plan_defaults(self, tmp_path):
         plan = parse_plan("dataset = a.tcr normal\n", base_dir=tmp_path)
         datasets = (PlanDataset(str(tmp_path / "a.tcr"), ScenarioKind.NORMAL),)
@@ -282,6 +297,14 @@ class TestCli:
         with pytest.raises(ValueError, match=f"unknown params key '{key}'"):
             cli.main(["serve", "--params", str(params), "--port", "0"])
 
+    def test_serve_cli_bad_seed(self, tmp_path):
+        from aisd import cli
+
+        params = tmp_path / "params.txt"
+        params.write_text("seed = abc\n")
+        with pytest.raises(ValueError, match="^bad value for 'seed': .*'abc'$"):
+            cli.main(["serve", "--params", str(params), "--port", "0"])
+
     def test_synth_stats_eval(self, tmp_path, capsys):
         from aisd.cli import main
 
@@ -431,6 +454,18 @@ def test_idle_cycle_and_reset_totals(bundled_logs):
     assert compartment.type2_resets_total == resets
     assert 0 < idle < compartment.cycle_count
     assert resets > 0
+
+
+def test_consumed_and_response_totals(bundled_logs):
+    """The compartment's consumed-antigen and response totals are the sums
+    of the cycle reports of an offline run."""
+    compartment = create_compartment(FAST_TISSUE, 3)
+    attach_twocell(compartment, FAST_TWOCELL)
+    reports = list(aisd.harness.offline_cycles(bundled_logs["success1"], compartment, 10.0))
+    consumed = sum(report.antigen_consumed for report in reports)
+    responses = sum(report.responses_emitted for report in reports)
+    assert compartment.antigen_consumed_total == consumed > 0
+    assert compartment.responses_total == responses == len(compartment.response_log) > 0
 
 
 def snapshot(compartment) -> tuple:

@@ -3,10 +3,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import math
+import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
+import aisd.scenarios
 from aisd.scenarios import (
     ATTACK_NOVEL_SYSCALLS,
     BUNDLED_PROFILES,
@@ -14,6 +17,8 @@ from aisd.scenarios import (
     InfeasibleProfile,
     ScenarioKind,
     ScenarioProfile,
+    _burst_seconds,
+    _interaction_second,
     synthesize_scenario,
 )
 from aisd.harness import run_single_offline
@@ -217,3 +222,87 @@ def test_written_log_is_the_log_in_memory(name):
         log, *run, tail_time=1.0
     )
 
+
+
+def reference_synthesis(profile: ScenarioProfile) -> tuple[tuple, random.Random]:
+    """The event columns of ``synthesize_scenario`` drawn through
+    ``random.Random``'s public ``random``, ``choice`` and ``shuffle``, and
+    the generator after the last draw."""
+    rng = random.Random(profile.seed)
+    events: list[tuple[float, int, Label]] = []
+
+    def burst_times(second, count):
+        return sorted(math.floor((second + rng.random()) * 1e6 + 0.5) / 1e6 for _ in range(count))
+
+    def normal_burst(second, count, cover_vocabulary):
+        times = burst_times(second, count)
+        values = []
+        if cover_vocabulary:
+            values = list(DEFAULT_VOCABULARY[:count])
+            rng.shuffle(values)
+        while len(values) < count:
+            values.append(rng.choice(DEFAULT_VOCABULARY))
+        events.extend(zip(times, values, [Label.NORMAL] * count))
+
+    def attack_burst(second, count):
+        times = burst_times(second, count)
+        values = [
+            rng.choice(ATTACK_NOVEL_SYSCALLS)
+            if rng.random() < profile.attack_novel_fraction
+            else rng.choice(DEFAULT_VOCABULARY)
+            for _ in range(count)
+        ]
+        events.extend(zip(times, values, [Label.ATTACK] * count))
+
+    occupied = _burst_seconds(profile)
+    if profile.startup_burst:
+        normal_burst(0, profile.startup_burst, True)
+    for count, at in profile.attack_bursts:
+        attack_burst(at, count)
+    if profile.interaction_events:
+        normal_burst(_interaction_second(profile, occupied), profile.interaction_events, False)
+    if profile.shutdown_burst is not None:
+        normal_burst(profile.duration - 1, profile.shutdown_burst, False)
+    events.sort(key=lambda event: event[0])  # stable
+    return tuple(zip(*events)) or ((), (), ()), rng
+
+
+DRAW_PROFILES = {
+    # startup and interaction bursts larger than the vocabulary
+    f"success-novel-{fraction}": ScenarioProfile(
+        "draws", ScenarioKind.SUCCESS, startup_burst=100, shutdown_burst=None,
+        attack_bursts=((300, 3), (40, 5)), interaction_events=60, duration=10,
+        seed=7, attack_novel_fraction=fraction,
+    )
+    for fraction in (0.0, 0.125, 1.0)
+} | {
+    # a startup burst smaller than the vocabulary: a shuffled head, no fill
+    "failure-small-startup": ScenarioProfile(
+        "draws", ScenarioKind.FAILURE, startup_burst=10, shutdown_burst=29,
+        attack_bursts=((500, 2),), interaction_events=45, duration=6, seed=8,
+        attack_novel_fraction=0.125,
+    ),
+    "normal-no-startup": ScenarioProfile(
+        "draws", ScenarioKind.NORMAL, startup_burst=0, shutdown_burst=17,
+        attack_bursts=(), interaction_events=3, duration=4, seed=9,
+    ),
+    **BUNDLED_PROFILES,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DRAW_PROFILES))
+def test_draws_equal_public_random_methods(name, monkeypatch):
+    made: list[random.Random] = []
+
+    class RecordedRandom(random.Random):
+        def __init__(self, seed):
+            super().__init__(seed)
+            made.append(self)
+
+    monkeypatch.setattr(aisd.scenarios, "random", SimpleNamespace(Random=RecordedRandom))
+    profile = DRAW_PROFILES[name]
+    log = synthesize_scenario(profile)
+    columns, rng = reference_synthesis(profile)
+    assert (log.event_times, log.event_numbers, log.event_labels) == columns
+    assert len(made) == 1
+    assert made[0].getstate() == rng.getstate()

@@ -383,3 +383,101 @@ class TestSlottedRecords:
         assert changed.timestamp == record.timestamp
         with pytest.raises(ValueError, match="finite"):
             dataclasses.replace(record, timestamp=math.nan)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [(lambda: SyscallEvent(math.nan, 5), "timestamp must be finite and >= 0, got nan"),
+         (lambda: SyscallEvent(math.inf, 5), "timestamp must be finite and >= 0, got inf"),
+         (lambda: SyscallEvent(-0.5, 5), "timestamp must be finite and >= 0, got -0.5"),
+         (lambda: SyscallEvent(-0.5, 512), "timestamp must be finite and >= 0, got -0.5"),
+         (lambda: SyscallEvent(0.5, 512), "syscall number 512 outside [0, 512)"),
+         (lambda: SyscallEvent(0.5, -1), "syscall number -1 outside [0, 512)"),
+         (lambda: SignalSample(math.nan, "cpu", 0.5), "timestamp must be finite and >= 0, got nan"),
+         (lambda: SignalSample(-math.inf, "cpu", 0.5), "timestamp must be finite and >= 0, got -inf"),
+         (lambda: SignalSample(-1.0, "cpu", 2.0), "timestamp must be finite and >= 0, got -1.0"),
+         (lambda: SignalSample(0.5, "cpu", 1.5), "signal value 1.5 outside [0, 1]"),
+         (lambda: SignalSample(0.5, "cpu", math.nan), "signal value nan outside [0, 1]")],
+    )
+    def test_error_text(self, make, message):
+        with pytest.raises(ValueError) as raised:
+            make()
+        assert str(raised.value) == message
+
+    def test_keyword_construction_and_label_default(self):
+        event = SyscallEvent(timestamp=1.5, syscall_number=5)
+        assert event == SyscallEvent(1.5, 5, Label.NORMAL)
+        assert event.label is Label.NORMAL
+        assert SyscallEvent(1.5, syscall_number=5, label=Label.ATTACK).label is Label.ATTACK
+        assert [f.default for f in dataclasses.fields(SyscallEvent)][2] is Label.NORMAL
+        sample = SignalSample(timestamp=0.5, signal_name="cpu", value=0.25)
+        assert (sample.timestamp, sample.signal_name, sample.value) == (0.5, "cpu", 0.25)
+        assert repr(event) == (
+            "SyscallEvent(timestamp=1.5, syscall_number=5, label=<Label.NORMAL: 'normal'>)"
+        )
+
+
+def reference_format(log: ReplayLog) -> str:
+    """One f-string per line, the two kinds merged by a stable sort on
+    (timestamp, signal first)."""
+    lines = [
+        *((t, 0, f"S {t:.6f} {name} {value:.6f}")
+          for t, name, value in zip(log.signal_times, log.signal_names, log.signal_values)),
+        *((t, 1, f"A {t:.6f} {number} {label.value}")
+          for t, number, label in zip(log.event_times, log.event_numbers, log.event_labels)),
+    ]
+    lines.sort(key=lambda line: line[:2])
+    return "\n".join([f"# scenario {log.scenario_name}", *(text for _, _, text in lines)]) + "\n"
+
+
+def edge_log(events=(), signals=()) -> ReplayLog:
+    """A log of (time, number, label) events and (time, name, value)
+    signals, each kind stably sorted by time."""
+    def columns(rows):
+        rows = sorted(rows, key=lambda row: row[0])
+        return tuple(map(tuple, zip(*rows))) or ((), (), ())
+
+    return ReplayLog("edge", *columns(events), *columns(signals))
+
+
+A, N = Label.ATTACK, Label.NORMAL
+EDGE_LOGS = {
+    "empty": edge_log(),
+    "no events": edge_log(signals=[(0.1, "cpu", 0.5), (0.2, "cpu", 0.25)]),
+    "no signals": edge_log(events=[(0.0, 0, N), (0.5, 511, A), (0.5, 3, N)]),
+    "ties with a signal": edge_log(
+        events=[(0.1, 5, N), (0.1, 6, A), (0.2, 7, N), (0.3, 8, N)],
+        signals=[(0.1, "cpu", 0.5), (0.2, "cpu", 1.0), (0.3, "cpu", 0.0)],
+    ),
+    "events after the last signal": edge_log(
+        events=[(0.05, 1, N), (0.25, 2, N), (7.0, 3, A), (9.5, 4, N)],
+        signals=[(0.1, "cpu", 0.1), (0.2, "net", 0.2)],
+    ),
+    "signals back to back": edge_log(
+        events=[(0.0, 1, N), (3.0, 2, N)],
+        signals=[(1.0, "cpu", 0.1), (1.5, "cpu", 0.2), (2.0, "cpu", 0.3), (3.0, "cpu", 0.4)],
+    ),
+    "off-grid and large timestamps": edge_log(
+        events=[(1.23456789, 5, N), (2.0000005, 6, A), (123456789.1234567, 7, N),
+                (1e12 + 0.25, 8, A), (1e-9, 9, N)],
+        signals=[(1.23456789, "cpu", 0.3333333333), (2.0000004999, "cpu", 1e-7),
+                 (1e12 + 0.25, "cpu", 0.9999999)],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_LOGS))
+def test_format_equals_per_line_reference(name):
+    log = EDGE_LOGS[name]
+    assert format_replay_log(log) == reference_format(log)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_format_equals_per_line_reference_on_random_logs(seed):
+    rng = random.Random(seed)
+    grid = [k / 8 for k in range(40)]  # few distinct times, so ties are common
+    log = edge_log(
+        events=[(rng.choice(grid), rng.randrange(512), rng.choice([N, A]))
+                for _ in range(rng.randrange(60))],
+        signals=[(rng.choice(grid), "cpu", rng.random()) for _ in range(rng.randrange(12))],
+    )
+    assert format_replay_log(log) == reference_format(log)

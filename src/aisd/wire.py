@@ -22,6 +22,12 @@ with that message, and the next identical line is answered from the memo
 without a parse.  Only exact canonical spellings are stored, so the memo holds
 at most ``2 * SYSCALL_RANGE`` entries (one per syscall number and label)
 whatever clients send; any other line, and every str line, takes the parse.
+
+The server's read loop adds an ``ANTIGEN`` frame from a session that declared
+the antigen role to the compartment itself; every other frame, including
+``ANTIGEN`` before ``HELLO`` or from a session without that role, goes through
+``TissueServer._dispatch``, which makes the session checks and raises the
+protocol errors.
 """
 from __future__ import annotations
 
@@ -36,7 +42,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .tissue import Compartment, ResponseRecord
-from .trace_model import LABELS, SYSCALL_RANGE, Label, ReplayLog, SyscallEvent
+from .trace_model import LABELS, SYSCALL_RANGE, Label, ReplayLog
 
 logger = logging.getLogger(__name__)
 
@@ -233,12 +239,17 @@ class TissueServer:
 
     One thread accepts connections and starts a thread per client, mirroring
     the realtime architecture; it drops finished client threads from
-    ``_threads`` as it adds new ones.  If ``cycles_per_second`` is given, a
-    pacer thread cycles the compartment while the server runs.  A response
-    client whose send fails is dropped, and the response it missed is
-    counted in ``responses_dropped_total``.  A frame that fails to decode or
-    to dispatch closes its session and is counted in
-    ``frames_rejected_total``; the frames before it still apply.
+    ``_threads`` as it adds new ones.  Each client thread decodes its frames
+    one by one; an ``ANTIGEN`` frame from an antigen-role session goes to
+    ``compartment.add_antigen`` straight from the read loop, and every other
+    frame goes through ``_dispatch``.  If ``cycles_per_second`` is given, a
+    pacer thread cycles the compartment while the server runs; when a cycle
+    overruns, the pacer does not catch up, and counts the whole intervals it
+    missed in ``cycles_skipped_total``.  A response client whose send fails
+    is dropped, and the response it missed is counted in
+    ``responses_dropped_total``.  A frame that fails to decode or to dispatch
+    closes its session and is counted in ``frames_rejected_total``; the
+    frames before it still apply.
     """
 
     def __init__(
@@ -257,6 +268,7 @@ class TissueServer:
         self._sessions_lock = threading.Lock()
         self.responses_dropped_total = 0
         self.frames_rejected_total = 0
+        self.cycles_skipped_total = 0
         self._accept_thread: threading.Thread | None = None
         self._threads: list[threading.Thread] = []
         self._stopping = threading.Event()
@@ -334,8 +346,9 @@ class TissueServer:
             delay = next_at - time.monotonic()
             if delay > 0:
                 self._stopping.wait(delay)
-            else:
-                next_at = time.monotonic()  # fell behind; don't try to catch up
+            else:  # fell behind: count the whole intervals missed, don't catch up
+                self.cycles_skipped_total += int(-delay // interval)
+                next_at = time.monotonic()
 
     def _accept_loop(self) -> None:
         assert self._listener is not None
@@ -358,6 +371,7 @@ class TissueServer:
             self._threads.append(thread)
 
     def _serve_client(self, session: _Session) -> None:
+        antigen = MessageKind.ANTIGEN
         try:
             with session.conn.makefile("rb") as reader:
                 while raw := reader.readline(MAX_FRAME_BYTES):
@@ -366,8 +380,12 @@ class TissueServer:
                             raise ProtocolError(f"frame longer than {MAX_FRAME_BYTES} bytes")
                         raise ProtocolError(f"frame cut off at disconnect: {raw!r}")
                     message = decode(raw)
+                    kind = message.kind
+                    if kind is antigen and "antigen" in session.roles:
+                        self.compartment.add_antigen(message.number, message.label)
+                        continue
                     self._dispatch(session, message)
-                    if message.kind is MessageKind.BYE:
+                    if kind is MessageKind.BYE:
                         break
         except ProtocolError as exc:
             logger.warning("client %s protocol error: %s", session.address, exc)
@@ -444,10 +462,12 @@ class ReplayConfig:
     tail_time: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.rate_multiplier <= 0:
-            raise ValueError("rate_multiplier must be positive")
-        if self.start_delay < 0 or self.tail_time < 0:
-            raise ValueError("delays must be non-negative")
+        # the chained comparisons are also false for nan
+        if not 0 < self.rate_multiplier < math.inf:
+            raise ValueError(f"rate_multiplier must be finite and > 0, got {self.rate_multiplier}")
+        for name, delay in (("start_delay", self.start_delay), ("tail_time", self.tail_time)):
+            if not 0 <= delay < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {delay}")
 
 
 @dataclass(frozen=True)
@@ -481,20 +501,22 @@ def replay(log: ReplayLog, config: ReplayConfig) -> ReplaySummary:
         raise ReplayError(f"connect to {config.host}:{config.port} failed: {exc}")
     try:
         sock.sendall((encode(WireMessage.hello(("antigen", "signal"))) + "\n").encode("ascii"))
-        records = log.records
+        event_times, signal_times = log.event_times, log.signal_times
         start = time.monotonic()
-        t0 = records[0].timestamp if records else 0.0
-        for record in records:
-            target = start + (record.timestamp - t0) / config.rate_multiplier
+        t0 = min(event_times[:1] + signal_times[:1], default=0.0)
+        for k in log.merged_order:  # k >= 0 is event k, ~k is signal k
+            if k >= 0:
+                timestamp = event_times[k]
+                message = WireMessage.antigen(log.event_numbers[k], log.event_labels[k])
+            else:
+                timestamp = signal_times[~k]
+                message = WireMessage.signal(log.signal_names[~k], log.signal_values[~k])
+            target = start + (timestamp - t0) / config.rate_multiplier
             delay = target - time.monotonic()
             if delay > 0:
                 time.sleep(delay)
-            if isinstance(record, SyscallEvent):
-                message = WireMessage.antigen(record.syscall_number, record.label)
-            else:
-                message = WireMessage.signal(record.signal_name, record.value)
             sock.sendall((encode(message) + "\n").encode("ascii"))
-            if isinstance(record, SyscallEvent):
+            if k >= 0:
                 sent_antigen += 1
             else:
                 sent_signals += 1

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import re
 import socket
@@ -19,6 +20,7 @@ from aisd.trace_model import (
     SignalSample,
     SyscallEvent,
     merge_to_replay_log,
+    write_replay_log,
 )
 from aisd.twocell import TwocellParams, attach_twocell
 from aisd.wire import (
@@ -272,6 +274,7 @@ class TestServer:
             sock.settimeout(5)
             assert sock.recv(64) == b""  # server closed on us
             assert compartment.antigen_added_total == 0
+            assert server.frames_rejected_total == 1
         finally:
             sock.close()
 
@@ -282,8 +285,87 @@ class TestServer:
             sock.settimeout(5)
             assert sock.recv(64) == b""
             assert compartment.antigen_added_total == 0
+            assert server.frames_rejected_total == 1
         finally:
             sock.close()
+
+    def test_decode_called_once_per_frame(self, server, compartment, monkeypatch):
+        calls = []
+        real_decode = wire.decode
+
+        def counting_decode(line):
+            calls.append(line)
+            return real_decode(line)
+
+        monkeypatch.setattr(wire, "decode", counting_decode)
+        frames = [
+            "HELLO 1 antigen,signal", "ANTIGEN 5 normal", "ANTIGEN 05 normal",
+            "SIGNAL cpu 0.5", "ANTIGEN 6 attack", "BYE",
+        ]
+        sock = client_socket(server)
+        try:
+            send_lines(sock, *frames)
+            sock.settimeout(5)
+            assert sock.recv(64) == b""
+        finally:
+            sock.close()
+        assert wait_until(lambda: not server._sessions)
+        assert calls == [(frame + "\n").encode("ascii") for frame in frames]
+        assert compartment.antigen_added_total == 3
+
+    def test_mixed_stream_keeps_order(self, server, compartment, monkeypatch):
+        applied = []
+        add_antigen, set_signal = compartment.add_antigen, compartment.set_signal
+
+        def recording_add(value, label):
+            applied.append((value, label))
+            add_antigen(value, label)
+
+        def recording_set(name, level):
+            applied.append((name, level))
+            set_signal(name, level)
+
+        monkeypatch.setattr(compartment, "add_antigen", recording_add)
+        monkeypatch.setattr(compartment, "set_signal", recording_set)
+        sock = client_socket(server)
+        try:
+            # one read: canonical and non-canonical ANTIGEN spellings, SIGNAL between
+            sock.sendall(
+                b"HELLO 1 antigen,signal\nANTIGEN 5 normal\nANTIGEN 05 normal\n"
+                b"SIGNAL cpu 0.25\nANTIGEN  5 attack\nANTIGEN 7 attack\n"
+                b"SIGNAL cpu 0.75\nANTIGEN 5 normal\nBYE\n"
+            )
+            sock.settimeout(5)
+            assert sock.recv(64) == b""
+        finally:
+            sock.close()
+        assert wait_until(lambda: not server._sessions)
+        normal, attack = Label.NORMAL, Label.ATTACK
+        assert applied == [
+            (5, normal), (5, normal), ("cpu", 0.25), (5, attack), (7, attack),
+            ("cpu", 0.75), (5, normal),
+        ]
+        assert list(compartment._store) == [
+            (5, normal), (5, normal), (5, attack), (7, attack), (5, normal),
+        ]
+        assert compartment.get_signal("cpu") == 0.75
+        assert server.frames_rejected_total == 0
+
+    def test_second_hello_after_antigen_disconnects(self, server, compartment, caplog):
+        sock = client_socket(server)
+        try:
+            send_lines(
+                sock, "HELLO 1 antigen", "ANTIGEN 5 normal", "ANTIGEN 6 attack",
+                "HELLO 1 antigen", "ANTIGEN 7 normal",
+            )
+            sock.settimeout(5)
+            assert sock.recv(64) == b""
+            assert list(compartment._store) == [(5, Label.NORMAL), (6, Label.ATTACK)]
+            assert compartment.antigen_added_total == 2
+            assert server.frames_rejected_total == 1
+        finally:
+            sock.close()
+        assert "protocol error: duplicate HELLO" in caplog.text
 
     @pytest.mark.parametrize(
         "frame", ["SIGNAL cpu nan", "SIGNAL cpu inf", "SIGNAL cpu -inf", "ANTIGEN 512 normal"]
@@ -477,6 +559,26 @@ class TestServer:
         assert created[0].fileno() == -1
 
 
+class TestPacer:
+    def test_overrun_counts_skipped_cycles(self, compartment, monkeypatch):
+        cycle = compartment.cycle
+        done = []
+
+        def cycle_once_slow():
+            report = cycle()
+            done.append(compartment.cycle_count)
+            if len(done) == 3:
+                time.sleep(0.35)  # 3.5 intervals at 10 cycles/s
+            return report
+
+        monkeypatch.setattr(compartment, "cycle", cycle_once_slow)
+        with TissueServer(compartment, host="127.0.0.1", port=0, cycles_per_second=10) as srv:
+            assert wait_until(lambda: len(done) >= 6)
+            skipped = srv.cycles_skipped_total
+        assert skipped >= 2
+        assert done[:6] == [1, 2, 3, 4, 5, 6]
+
+
 class TestReplay:
     def make_log(self, timestamps):
         events = [SyscallEvent(t, 5) for t in timestamps]
@@ -509,3 +611,71 @@ class TestReplay:
     def test_bad_config(self):
         with pytest.raises(ValueError):
             ReplayConfig(rate_multiplier=0.0)
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match=f"^rate_multiplier must be finite and > 0, got {value}$"):
+                ReplayConfig(rate_multiplier=value)
+            for name in ("start_delay", "tail_time"):
+                with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0, got {value}$"):
+                    ReplayConfig(**{name: value})
+
+    def test_cli_rejects_nan_rate_before_sending(self, tmp_path):
+        from aisd import cli
+
+        path = tmp_path / "pacing.tcr"
+        write_replay_log(self.make_log([0.0, 0.1]), path)
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            port = listener.getsockname()[1]
+            with pytest.raises(ValueError, match="^rate_multiplier must be finite and > 0, got nan$"):
+                cli.main(["replay", "--log", str(path), "--rate", "nan", "--port", str(port)])
+            listener.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                listener.accept()  # nobody connected
+
+    @pytest.mark.parametrize(
+        "event_times, signal_times",
+        [
+            ([0.0, 0.01, 0.01, 0.02, 0.03], [0.0, 0.01, 0.01, 0.03, 0.04]),
+            ([0.005, 0.02], []),
+            ([], [0.0, 0.01]),
+            ([], []),
+        ],
+    )
+    def test_sends_records_in_merged_order(self, event_times, signal_times):
+        events = [
+            SyscallEvent(t, k % 7, Label.ATTACK if k % 3 else Label.NORMAL)
+            for k, t in enumerate(event_times)
+        ]
+        samples = [SignalSample(t, "cpu", k / 8) for k, t in enumerate(signal_times)]
+        log = merge_to_replay_log(events, samples, "ties")
+        expected = [encode(WireMessage.hello(("antigen", "signal")))]
+        for record in log.records:
+            if isinstance(record, SyscallEvent):
+                expected.append(encode(WireMessage.antigen(record.syscall_number, record.label)))
+            else:
+                expected.append(encode(WireMessage.signal(record.signal_name, record.value)))
+        expected.append(encode(WireMessage.bye()))
+
+        received = []
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            listener.settimeout(5)
+
+            def capture():
+                conn, _ = listener.accept()
+                with conn:
+                    conn.settimeout(5)
+                    while chunk := conn.recv(4096):
+                        received.append(chunk)
+
+            thread = threading.Thread(target=capture)
+            thread.start()
+            summary = replay(
+                log, ReplayConfig(port=listener.getsockname()[1], rate_multiplier=100.0)
+            )
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert b"".join(received) == "".join(line + "\n" for line in expected).encode("ascii")
+        assert (summary.sent_antigen, summary.sent_signals) == (len(events), len(samples))

@@ -24,10 +24,11 @@ at most ``2 * SYSCALL_RANGE`` entries (one per syscall number and label)
 whatever clients send; any other line, and every str line, takes the parse.
 
 The server's read loop adds an ``ANTIGEN`` frame from a session that declared
-the antigen role to the compartment itself; every other frame, including
-``ANTIGEN`` before ``HELLO`` or from a session without that role, goes through
-``TissueServer._dispatch``, which makes the session checks and raises the
-protocol errors.
+the antigen role to the compartment itself; it is the only place that adds
+antigen.  Every other frame goes through ``TissueServer._dispatch``, which
+makes the session checks and raises the protocol errors; the ``ANTIGEN``
+frames that reach it (before ``HELLO``, or from a session without that role)
+are only ever rejected there.
 """
 from __future__ import annotations
 
@@ -242,14 +243,14 @@ class TissueServer:
     ``_threads`` as it adds new ones.  Each client thread decodes its frames
     one by one; an ``ANTIGEN`` frame from an antigen-role session goes to
     ``compartment.add_antigen`` straight from the read loop, and every other
-    frame goes through ``_dispatch``.  If ``cycles_per_second`` is given, a
-    pacer thread cycles the compartment while the server runs; when a cycle
-    overruns, the pacer does not catch up, and counts the whole intervals it
-    missed in ``cycles_skipped_total``.  A response client whose send fails
-    is dropped, and the response it missed is counted in
-    ``responses_dropped_total``.  A frame that fails to decode or to dispatch
-    closes its session and is counted in ``frames_rejected_total``; the
-    frames before it still apply.
+    frame goes through ``_dispatch``, which only rejects ``ANTIGEN`` frames.
+    If ``cycles_per_second`` is given, a pacer thread cycles the compartment
+    while the server runs; when a cycle overruns, the pacer does not catch
+    up, and counts the whole intervals it missed in ``cycles_skipped_total``.
+    A response client whose send fails is dropped, and the response it
+    missed is counted in ``responses_dropped_total``.  A frame that fails to
+    decode or to dispatch closes its session and is counted in
+    ``frames_rejected_total``; the frames before it still apply.
     """
 
     def __init__(
@@ -415,10 +416,10 @@ class TissueServer:
         if not session.helloed:
             raise ProtocolError(f"{kind.value} before HELLO")
         if kind is MessageKind.ANTIGEN:
-            if "antigen" not in session.roles:
-                raise ProtocolError("ANTIGEN from client without antigen role")
-            self.compartment.add_antigen(message.number, message.label)
-        elif kind is MessageKind.SIGNAL:
+            # An antigen-role session's ANTIGEN frames never get here: the
+            # read loop adds them itself.
+            raise ProtocolError("ANTIGEN from client without antigen role")
+        if kind is MessageKind.SIGNAL:
             if "signal" not in session.roles:
                 raise ProtocolError("SIGNAL from client without signal role")
             try:

@@ -9,7 +9,10 @@ experiments deterministic per seed and much faster than realtime.
 ``offline_cycles`` is that rule's one implementation: it ingests by window,
 straight from the replay log's columns, and yields each cycle's report, so
 a caller that watches the tissue between cycles drives the same run as
-``run_single_offline``.
+``run_single_offline``.  Between windows it steps over idle cycles with
+``Compartment.idle_stretch`` (the same RNG stream draw for draw, on CPython
+with n1 + n2 <= 255; see ``twocell``); between the reports of one stretch
+the compartment already holds its state after the stretch.
 
 Output layout per experiment directory:
 
@@ -23,6 +26,7 @@ import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping
 
@@ -208,25 +212,69 @@ def offline_cycles(
     tail period.  Each window's signal samples are set in order, then its
     syscall events added with one ``add_events`` call, which leaves the
     store as one ``add_antigen`` per event would.
+
+    After each window, the cycles before which no event is due are offered
+    to ``Compartment.idle_stretch``; the cycles it steps yield one shared
+    ``CycleReport(0, 0)`` each, and the signals due inside the stretch are
+    set before them, since no idle cycle reads a signal.  Between the
+    reports of one stretch the compartment already holds its state after
+    the stretch.  Every other cycle runs through ``Compartment.cycle``.
     """
+    if not 0 <= tail_time < math.inf:  # also false for nan
+        raise ValueError(f"tail_time must be finite and >= 0, got {tail_time}")
     cps = compartment.params.cycles_per_second
     event_times, numbers, labels = log.event_times, log.event_numbers, log.event_labels
-    signal_times, names, values = log.signal_times, log.signal_names, log.signal_values
-    n_events, n_signals = len(event_times), len(signal_times)
+    n_events, n_signals = len(event_times), len(log.signal_times)
     e = s = 0
     total_cycles = int(math.floor(log.duration * cps)) + 1 + int(round(tail_time * cps))
     while compartment.cycle_count < total_cycles or e < n_events or s < n_signals:
-        horizon = (compartment.cycle_count + 1) / cps
-        if s < n_signals and signal_times[s] < horizon:
-            end = bisect_left(signal_times, horizon, s + 1)
-            for k in range(s, end):
-                compartment.set_signal(names[k], values[k])
-            s = end
+        count = compartment.cycle_count
+        horizon = (count + 1) / cps
+        s = _set_signals(compartment, log, s, horizon)
         if e < n_events and event_times[e] < horizon:
             end = bisect_left(event_times, horizon, e + 1)
             compartment.add_events(numbers[e:end], labels[e:end])
             e = end
-        yield compartment.cycle()
+        # no event is delivered before cycles count + 1 .. stop: the loop
+        # next delivers one at count stop, or stops looping at total_cycles
+        if e < n_events:
+            stop = _first_due(event_times[e], count + 1, cps)
+        else:
+            stop = max(count + 1, total_cycles)
+        stepped = compartment.idle_stretch(stop - count)
+        if not stepped:
+            yield compartment.cycle()
+            continue
+        # the windows of the stepped cycles after the first
+        s = _set_signals(compartment, log, s, (count + stepped) / cps)
+        yield from repeat(_IDLE_REPORT, stepped)
+
+
+# the report of every cycle that Compartment.idle_stretch steps
+_IDLE_REPORT = CycleReport(0, 0)
+
+
+def _set_signals(compartment: Compartment, log: ReplayLog, s: int, horizon: float) -> int:
+    """Set the log's signal samples from index ``s`` on with timestamp <
+    ``horizon``, in order; return the index of the first one not set."""
+    times = log.signal_times
+    if s < len(times) and times[s] < horizon:
+        end = bisect_left(times, horizon, s + 1)
+        for k in range(s, end):
+            compartment.set_signal(log.signal_names[k], log.signal_values[k])
+        s = end
+    return s
+
+
+def _first_due(at: float, first: int, cps: float) -> int:
+    """The least count >= ``first`` at which ``offline_cycles`` delivers a
+    record stamped ``at``, by its own test: at < (count + 1) / cps."""
+    count = max(first, int(at * cps))
+    while count > first and at < count / cps:
+        count -= 1
+    while not at < (count + 1) / cps:
+        count += 1
+    return count
 
 
 def run_single_offline(

@@ -8,7 +8,14 @@ runs with the same seed and the same scripted inputs are bit-identical.  An
 idle cycle (empty store, nothing presented) draws and ages its cells inline
 and makes no per-cell call.  The cycle's ``CycleReport`` is measured around
 ``run_cells``: during a cycle only ``draw_antigen`` shrinks the store and
-only ``emit_response`` grows the response log.
+only ``emit_response`` grows the response log.  ``idle_stretch`` steps up to
+a given number of idle cycles at once with ``twocell.idle_stretch``, adding
+them to ``cycle_count`` and ``idle_cycles_total``; its RNG stream is the one
+those cycles would draw, but it needs CPython's ``getrandbits`` layout and
+n1 + n2 <= 255, and it steps nothing otherwise (see ``twocell``).  The
+compartment holds its state after the stretch from the moment the call
+returns, so a driver that then yields one report per stepped cycle, as
+``harness.offline_cycles`` does, shows that state between them.
 
 External writers (wire sessions) may add antigen and set signals
 concurrently with a cycling thread; individual writes are atomic and become
@@ -194,6 +201,18 @@ class Compartment:
             self.antigen_consumed_total += consumed
             self.responses_total += responses
             return CycleReport(consumed, responses)
+
+    def idle_stretch(self, limit: int) -> int:
+        """Step up to ``limit`` idle cycles at once with
+        ``twocell.idle_stretch``; return how many were stepped (0 when the
+        population is busy, a reset is due or there is no population)."""
+        with self._lock:
+            if self.twocell is None:
+                return 0
+            stepped = twocell.idle_stretch(self, limit)
+            self.cycle_count += stepped
+            self.idle_cycles_total += stepped
+            return stepped
 
 
 def create_compartment(params: TissueParams | None = None, seed: int = 0) -> Compartment:

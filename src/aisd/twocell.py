@@ -23,10 +23,26 @@ compartment RNG's ``getrandbits(n.bit_length())`` inline and reject values
 >= n.  That is what ``randrange(n)`` and ``shuffle`` do inside
 ``random.Random``, so the stream is the same draw for draw, without a Python
 frame per draw.
+
+``idle_stretch`` steps a run of idle cycles in one call, as an offline run
+does between windows, and leaves the RNG, the ages and the totals where
+per-cycle ``run_cells`` would.  It stops before a cycle in which a reset
+falls due.  It relies on how CPython (3.10 and 3.11) lays out
+``getrandbits``, which a tier-1 test pins: ``getrandbits(k)`` for k <= 32 is
+the top k bits of one 32-bit Mersenne Twister word, and ``getrandbits(32 *
+m)`` holds m consecutive words, the first in the lowest 32 bits.  With
+n1 + n2 <= 255 every idle draw takes at most 8 bits, so whether it is
+accepted depends only on its word's top byte: one bytes regex match runs a
+cycle's shuffle and ``bytes.count`` counts its bind accepts.  A population
+with n1 + n2 > 255 has no kernel, and its idle cycles run through
+``run_cells``.  The stretch is stepped all at once, so between the per-cycle
+reports a driver yields for it, the population already holds its state after
+the stretch.
 """
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
@@ -92,7 +108,9 @@ class TwoCellState:
     ``live`` counts the keys presented over all producers.  Type 2 cell
     ``n1 + k`` holds the VR locks ``locks[k]``, has emitted ``matches[k]``
     responses, and is ``ages[k]`` cycles past its last reset.  ``order`` is
-    the order the last cycle ran the cells in.
+    the order of the last cycle that ran through ``run_cells``; a stepped
+    idle stretch leaves it as it was.  ``idle_kernel`` is what
+    ``idle_stretch`` reads RNG words with, or None when n1 + n2 > 255.
     """
 
     def __init__(self, params: TwocellParams, rng: random.Random):
@@ -118,6 +136,7 @@ class TwoCellState:
         self.shuffle_steps = [
             (i, i + 1, (i + 1).bit_length()) for i in range(self.n1 + self.n2 - 1, 0, -1)
         ]
+        self.idle_kernel = _idle_kernel(self.n1, self.shuffle_steps)
         self.order: list[int] = []
 
 
@@ -247,6 +266,91 @@ def run_cells(compartment: Compartment) -> None:
             type1_cycle(cell, compartment, params)
         else:
             type2_cycle(cell, compartment, params)
+
+
+def _idle_kernel(
+    n1: int, shuffle_steps: list[tuple[int, int, int]]
+) -> tuple[re.Pattern[bytes], bytes] | None:
+    """The shuffle pattern and bind table that ``idle_stretch`` reads the
+    top bytes of RNG words with, or None when a draw needs more than 8 bits.
+
+    A draw below n makes ``getrandbits(b)`` calls, b = n.bit_length(), until
+    one is below n; each call is the top b bits of one 32-bit word, so it is
+    accepted iff the word's top byte is below ``n << (8 - b)``.
+    """
+    if shuffle_steps[0][2] > 8:  # the first step draws below n1 + n2
+        return None
+    pieces = []
+    for _, n, bits in shuffle_steps:
+        low = n << (8 - bits)
+        pieces.append(rb"[\x%02x-\xff]*[\x00-\x%02x]" % (low, low - 1))
+    low = n1 << (8 - n1.bit_length())
+    return re.compile(b"".join(pieces)), bytes(byte < low for byte in range(256))
+
+
+# RNG words drawn in one call at most, which bounds a stretch's buffers
+_MAX_WORDS = 1 << 12
+
+
+def _top_bytes(getrandbits, words: int) -> bytes:
+    """The top byte of each of the next ``words`` 32-bit RNG words (at most
+    ``_MAX_WORDS``), in order: ``getrandbits(32 * m)`` puts its first word
+    in the lowest 32 bits."""
+    words = min(words, _MAX_WORDS)
+    return getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+
+
+def idle_stretch(compartment: Compartment, limit: int) -> int:
+    """Step up to ``limit`` idle cycles in one call; return how many.
+
+    The RNG, the ages and the population end where that many ``run_cells``
+    calls would leave them.  The stretch stops before the first cycle in
+    which an unmatched Type 2 cell's reset falls due, since a reset draws
+    between the binds.  Returns 0 when the population is not idle or has no
+    kernel (n1 + n2 > 255).  Each cycle reads at least
+    ``len(shuffle_steps) + n2 * binds`` words, and words are drawn only as
+    far as the stretch surely reads them, so the RNG ends where the last
+    read leaves it, with no clone and no rewind.
+    """
+    state = compartment.twocell
+    kernel = state.idle_kernel
+    if kernel is None or state.live or compartment._store:
+        return 0
+    ages = state.ages
+    lifespan = state.params.cell_lifespan
+    cycles = limit
+    for age, matched in zip(ages, state.matches):
+        if not matched and lifespan - 1 - age < cycles:
+            cycles = lifespan - 1 - age
+    if cycles <= 0:
+        return 0
+
+    shuffle, table = kernel
+    binds = state.n2 * state.binds
+    per_cycle = len(state.shuffle_steps) + binds
+    getrandbits = state.getrandbits
+    top = _top_bytes(getrandbits, cycles * per_cycle)
+    accepted = top.translate(table)  # 1 where a bind draw accepts the word
+    pos = 0
+    for later in range(cycles - 1, -1, -1):  # cycles left after this one
+        match = shuffle.match(top, pos)
+        while match is None:  # the shuffle reads past the buffer
+            more = _top_bytes(getrandbits, 1 + binds + later * per_cycle)
+            top, accepted, pos = top[pos:] + more, accepted[pos:] + more.translate(table), 0
+            match = shuffle.match(top)
+        pos = match.end()
+        need = binds
+        while need:
+            # each of the next `need` words is read; the last read accepts
+            end = pos + need
+            if end > len(top):
+                more = _top_bytes(getrandbits, end - len(top) + later * per_cycle)
+                top, accepted, pos = top[pos:] + more, accepted[pos:] + more.translate(table), 0
+                end = need
+            need -= accepted.count(1, pos, end)
+            pos = end
+    ages[:] = [age + cycles for age in ages]
+    return cycles
 
 
 def attach_twocell(compartment: Compartment, params: TwocellParams) -> None:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 import time
 from itertools import repeat
 from pathlib import Path
@@ -19,7 +20,7 @@ from aisd.harness import (
     run_single_realtime,
 )
 from aisd.scenarios import ScenarioKind
-from aisd.tissue import TissueParams, create_compartment
+from aisd.tissue import Compartment, TissueParams, create_compartment
 from aisd.trace_model import Label, SignalSample, SyscallEvent, merge_to_replay_log
 from aisd.twocell import TwocellParams, attach_twocell
 
@@ -432,27 +433,44 @@ def test_experiment_artifacts_golden(bundled_files, tmp_path):
 
 def test_idle_cycle_and_reset_totals(bundled_logs):
     """The compartment's idle-cycle and reset totals equal counts made from
-    the population before and after each cycle of an offline run."""
+    the population before and after each cycle of an offline run, where a
+    stepped idle stretch counts each of its cycles as idle."""
     compartment = create_compartment(FAST_TISSUE, 5)
     attach_twocell(compartment, FAST_TWOCELL)
     state = compartment.twocell
     cycle = compartment.cycle
-    idle = resets = 0
+    stretch = compartment.idle_stretch
+    idle = resets = stepped = 0
+
+    def is_idle():
+        presented = any(key is not None for keys in state.keys for key in keys)
+        return not compartment.antigen_count() and not presented
 
     def counting_cycle():
         nonlocal idle, resets
-        presented = any(key is not None for keys in state.keys for key in keys)
-        idle += not compartment.antigen_count() and not presented
+        idle += is_idle()
         report = cycle()
         resets += state.ages.count(0)  # a reset leaves age 0; else age >= 1
         return report
 
+    def counting_stretch(limit):
+        nonlocal stepped
+        was_idle = is_idle()
+        count = stretch(limit)
+        if count:
+            assert was_idle
+            assert 0 not in state.ages  # a stretch resets no cell
+        stepped += count
+        return count
+
     compartment.cycle = counting_cycle
+    compartment.idle_stretch = counting_stretch
     for _ in aisd.harness.offline_cycles(bundled_logs["normal2"], compartment, 30.0):
         pass
-    assert compartment.idle_cycles_total == idle
+    assert compartment.idle_cycles_total == idle + stepped
     assert compartment.type2_resets_total == resets
     assert 0 < idle < compartment.cycle_count
+    assert 0 < stepped < compartment.cycle_count
     assert resets > 0
 
 
@@ -519,6 +537,9 @@ def window_edge_log():
 
 @pytest.mark.parametrize("source", ["edges", "success1"])
 def test_window_ingest_matches_per_event_feed(bundled_logs, monkeypatch, source):
+    """Each cycle that runs through cycle() sees the store, signal level and
+    totals the per-event reference feed gives it; every other cycle is
+    stepped as idle, and the reference store is empty at each of those."""
     log = window_edge_log() if source == "edges" else bundled_logs[source]
     tissue = TissueParams(antigen_capacity=32)
     seen = []
@@ -526,23 +547,110 @@ def test_window_ingest_matches_per_event_feed(bundled_logs, monkeypatch, source)
     def recording_compartment(params, seed):
         compartment = create_compartment(params, seed)
         cycle = compartment.cycle
-        snapshots = []
+        stretch = compartment.idle_stretch
+        snapshots = {}  # cycle number -> snapshot before it
+        stepped = []  # cycle numbers of stepped cycles
 
         def snapshot_then_cycle():
-            snapshots.append(snapshot(compartment))
+            snapshots[compartment.cycle_count + 1] = snapshot(compartment)
             return cycle()
+
+        def recording_stretch(limit):
+            first = compartment.cycle_count + 1
+            count = stretch(limit)
+            stepped.extend(range(first, first + count))
+            return count
         compartment.cycle = snapshot_then_cycle
-        seen.append((compartment, snapshots))
+        compartment.idle_stretch = recording_stretch
+        seen.append((compartment, snapshots, stepped))
         return compartment
 
     monkeypatch.setattr(aisd.harness, "create_compartment", recording_compartment)
     responses = run_single_offline(log, tissue, TwocellParams(), seed=3, tail_time=2.0)
     reference, expected = per_event_feed(log, tissue, TwocellParams(), 3, tail_time=2.0)
-    (compartment, snapshots), = seen
+    (compartment, snapshots, stepped), = seen
     assert responses == reference.response_log
-    assert snapshots == expected
+    assert sorted([*snapshots, *stepped]) == list(range(1, len(expected) + 1))
+    for number, observed in snapshots.items():
+        assert observed == expected[number - 1]
+    if source == "success1":
+        assert stepped  # (the edge log stays busy: cpu 1.0 presents for 50 cycles)
+    for number in stepped:
+        assert expected[number - 1][0] == []  # the reference store was empty
     assert compartment.antigen_added_total == reference.antigen_added_total
     assert compartment.antigen_added_total == len(log.syscall_events())
     assert max(len(store) for store, *_ in expected) == 32  # windows overflowed
     if source == "edges":
         assert [level for _, level, *_ in expected[:6]] == [0.9, 0.9, 0.1, 0.1, 0.1, 1.0]
+
+
+def drive(log, seed, tail_time, cps):
+    """Drive offline_cycles to the end on a fresh compartment; returns it,
+    the reports yielded and, by cycle count, the signal level and signals
+    set seen at the reports."""
+    compartment = create_compartment(TissueParams(cycles_per_second=cps), seed)
+    attach_twocell(compartment, FAST_TWOCELL)
+    reports, seen = [], {}
+    for report in aisd.harness.offline_cycles(log, compartment, tail_time):
+        reports.append(report)
+        seen[compartment.cycle_count] = (compartment.get_signal("cpu"),
+                                         compartment.signals_set_total)
+    return compartment, reports, seen
+
+
+def driven_state(compartment, reports) -> tuple:
+    totals = {name: value for name, value in vars(compartment).items()
+              if name.endswith("_total")}
+    return (compartment.response_log, compartment.rng.getstate(), compartment.cycle_count,
+            totals, compartment.get_signal("cpu"), reports)
+
+
+@pytest.mark.parametrize("source", ["normal1", "normal2", "success1", "success2",
+                                    "failure1", "failure2", "edges"])
+def test_stepping_matches_cycle_by_cycle(bundled_logs, monkeypatch, source):
+    """offline_cycles leaves the compartment and yields the reports that it
+    does with every cycle run through cycle()."""
+    log = window_edge_log() if source == "edges" else bundled_logs[source]
+    idle = 0
+    # 3.3: a cycle rate whose windows fall off the records' decimal grid
+    for seed, tail_time, cps in ((1, 30.0, 10.0), (2, 7.0, 3.3)):
+        compartment, reports, seen = drive(log, seed, tail_time, cps)
+        with monkeypatch.context() as m:
+            m.setattr(Compartment, "idle_stretch", lambda self, limit: 0)
+            ref, ref_reports, ref_seen = drive(log, seed, tail_time, cps)
+        assert driven_state(compartment, reports) == driven_state(ref, ref_reports)
+        # at a stretch's reports the compartment is already at the stretch's end
+        for count, signals in seen.items():
+            assert ref_seen[count] == signals
+        assert len(reports) == compartment.cycle_count
+        idle += compartment.idle_cycles_total
+    assert idle or source == "edges"  # the edge log has no idle cycle
+
+
+@pytest.mark.parametrize("tail_time", [-5.0, math.nan, math.inf])
+def test_offline_cycles_rejects_bad_tail_time(bundled_logs, tail_time):
+    compartment = create_compartment(FAST_TISSUE, 1)
+    attach_twocell(compartment, FAST_TWOCELL)
+    message = f"tail_time must be finite and >= 0, got {tail_time}"
+    with pytest.raises(ValueError, match=message):
+        list(aisd.harness.offline_cycles(bundled_logs["normal1"], compartment, tail_time))
+    assert compartment.cycle_count == 0
+    with pytest.raises(ValueError, match=message):
+        run_single_offline(bundled_logs["normal1"], FAST_TISSUE, FAST_TWOCELL, 1, tail_time)
+
+
+def test_first_due_is_the_loops_own_test():
+    """_first_due gives the least count >= first with at < (count + 1) / cps,
+    also for times on a window boundary and rates off the decimal grid."""
+    inputs = random.Random(5)
+    for cps in (10.0, 3.3, 7.0, 0.7, 1000.0):
+        for first in (1, 5, 40, 12345):
+            times = [k / cps for k in range(first, first + 30)]
+            times += [inputs.uniform(first / cps, (first + 200) / cps) for _ in range(30)]
+            for at in times:
+                if not at >= first / cps:  # delivered before count first
+                    continue
+                count = first
+                while not at < (count + 1) / cps:
+                    count += 1
+                assert aisd.harness._first_due(at, first, cps) == count

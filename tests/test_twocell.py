@@ -346,3 +346,119 @@ class TestIdleFastPath:
         assert idle > 50 and busy > 50
         assert idle_resets > 0
         assert fast.twocell.matches[0] > 0
+
+
+def run_totals(comp) -> dict[str, int]:
+    return {name: value for name, value in vars(comp).items() if name.endswith("_total")}
+
+
+class TestIdleStretch:
+    def test_getrandbits_word_layout(self):
+        """The layout the idle kernel reads: getrandbits(k), k <= 32, is the
+        top k bits of one 32-bit word, and getrandbits(32 * m) holds m
+        words with the first in the lowest 32 bits."""
+        for seed in range(3):
+            words, draws = random.Random(seed), random.Random(seed)
+            for k in range(1, 33):
+                assert draws.getrandbits(k) == words.getrandbits(32) >> (32 - k)
+            for m in (1, 2, 7, 64):
+                expected = sum(words.getrandbits(32) << (32 * i) for i in range(m))
+                assert draws.getrandbits(32 * m) == expected
+            assert draws.getstate() == words.getstate()
+
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 2), (3, 13), (10, 20), (100, 155)])
+    @pytest.mark.parametrize("lifespan", [1, 2, 3, 100])
+    def test_equals_per_cycle_run_cells(self, n1, n2, lifespan):
+        """A stretch leaves the RNG, the population and the totals where one
+        ``cycle()`` per stepped cycle leaves its twin."""
+        params = TwocellParams(n_type1=n1, n_type2=n2, cell_lifespan=lifespan)
+        fast, ref = create_compartment(seed=n2), create_compartment(seed=n2)
+        for comp in (fast, ref):
+            attach_twocell(comp, params)
+        inputs = random.Random(n1 * 1000 + lifespan)
+        # (limit, every cell matched)
+        limits = [(1, False), (2, False), (3, False), (300, True)]
+        limits += [(inputs.randint(1, 300), inputs.random() < 0.3) for _ in range(20)]
+        lengths = set()
+        for limit, matched in limits:
+            # some cells matched, some ages one or two short of a reset
+            matches = [int(matched or inputs.random() < 0.3) for _ in range(n2)]
+            ages = [
+                inputs.choice((0, lifespan - 1, max(0, lifespan - 2), inputs.randrange(lifespan)))
+                for _ in range(n2)
+            ]
+            for comp in (fast, ref):
+                comp.twocell.matches[:] = matches
+                comp.twocell.ages[:] = ages
+            stepped = fast.idle_stretch(limit)
+            for _ in range(stepped):
+                ref.cycle()
+            due = [lifespan - 1 - age for age, m in zip(ages, matches) if not m]
+            assert stepped == max(0, min([limit, *due]))
+            lengths.add(stepped)
+
+            assert fast.rng.getstate() == ref.rng.getstate()
+            a, b = fast.twocell, ref.twocell
+            assert (a.locks, a.matches, a.ages) == (b.locks, b.matches, b.ages)
+            assert run_totals(fast) == run_totals(ref)
+            assert fast.cycle_count == ref.cycle_count
+            # the next cycle, maybe a reset, continues the same stream
+            assert fast.cycle() == ref.cycle()
+            assert fast.rng.getstate() == ref.rng.getstate()
+            assert (a.locks, a.ages) == (b.locks, b.ages)
+        assert {0, 300} <= lengths
+        assert len(lengths) > 3 or lifespan == 1  # then an unmatched cell always blocks
+
+    @pytest.mark.parametrize("n1, n2", [(1, 1), (10, 20)])
+    def test_every_stretch_length(self, n1, n2):
+        """Stretches of each length 1..300 in turn, every cell matched so
+        that no reset cuts them short, track one cycle() per cycle."""
+        fast, ref = create_compartment(seed=7), create_compartment(seed=7)
+        for comp in (fast, ref):
+            attach_twocell(comp, TwocellParams(n_type1=n1, n_type2=n2))
+            comp.twocell.matches[:] = [1] * n2
+        for limit in range(1, 301):
+            assert fast.idle_stretch(limit) == limit
+            for _ in range(limit):
+                ref.cycle()
+            assert fast.rng.getstate() == ref.rng.getstate()
+        assert fast.twocell.ages == ref.twocell.ages == [150 * 301] * n2
+        assert run_totals(fast) == run_totals(ref)
+
+    def test_zero_when_not_idle(self):
+        params = TwocellParams(cell_lifespan=10)
+        comp = create_compartment(seed=1)
+        attach_twocell(comp, params)
+        state = comp.twocell
+        comp.add_antigen(5)  # something in the store
+        before = comp.rng.getstate()
+        assert comp.idle_stretch(50) == 0
+        assert comp.rng.getstate() == before
+        comp.cycle()
+        assert comp.antigen_count() == 0 and state.live == 1  # now presented
+        before = comp.rng.getstate()
+        assert comp.idle_stretch(50) == 0
+        assert comp.rng.getstate() == before
+        assert comp.cycle_count == 1 and comp.idle_cycles_total == 0
+
+    def test_zero_when_a_reset_is_due_next_cycle(self):
+        params = TwocellParams(cell_lifespan=10)
+        comp = create_compartment(seed=1)
+        attach_twocell(comp, params)
+        comp.twocell.ages[3] = 9
+        before = comp.rng.getstate()
+        assert comp.idle_stretch(50) == 0
+        assert comp.rng.getstate() == before
+        assert comp.cycle_count == comp.idle_cycles_total == 0
+        comp.twocell.matches[3] = 1  # a matched cell never resets
+        assert comp.idle_stretch(50) == 9  # the others, at age 0, reset at 10
+        assert comp.twocell.ages[3] == 18 and comp.twocell.ages[0] == 9
+
+    def test_no_kernel_above_255_cells(self):
+        for n1, n2, kernel in ((100, 155, True), (100, 156, False), (1, 255, False)):
+            comp = create_compartment(seed=1)
+            attach_twocell(comp, TwocellParams(n_type1=n1, n_type2=n2))
+            assert (comp.twocell.idle_kernel is not None) is kernel
+            before = comp.rng.getstate()
+            assert comp.idle_stretch(5) == (5 if kernel else 0)
+            assert (comp.rng.getstate() == before) is not kernel

@@ -218,7 +218,8 @@ def offline_cycles(
     ``CycleReport(0, 0)`` each, and the signals due inside the stretch are
     set before them, since no idle cycle reads a signal.  Between the
     reports of one stretch the compartment already holds its state after
-    the stretch.  Every other cycle runs through ``Compartment.cycle``.
+    the stretch.  Every other cycle runs through ``Compartment.cycle``,
+    an idle cycle in which a reset falls due included.
     """
     if not 0 <= tail_time < math.inf:  # also false for nan
         raise ValueError(f"tail_time must be finite and >= 0, got {tail_time}")

@@ -5,10 +5,11 @@ The population is a ``twocell.TwoCellState`` that ``attach_twocell`` puts on
 the compartment.  Each cycle hands the population to ``twocell.run_cells``,
 which runs every cell exactly once in a seeded-random order, so repeated
 runs with the same seed and the same scripted inputs are bit-identical.  An
-idle cycle (empty store, nothing presented) draws and ages its cells inline
-and makes no per-cell call.  The cycle's ``CycleReport`` is measured around
-``run_cells``: during a cycle only ``draw_antigen`` shrinks the store and
-only ``emit_response`` grows the response log.  ``idle_stretch`` steps up to
+idle cycle (empty store, nothing presented) runs its cells the same way and
+``run_cells`` counts it in ``idle_cycles_total``.  The cycle's
+``CycleReport`` is measured around ``run_cells``: during a cycle only
+``draw_antigen`` shrinks the store and only ``emit_response`` grows the
+response log.  ``idle_stretch`` steps up to
 a given number of idle cycles at once with ``twocell.idle_stretch``, adding
 them to ``cycle_count`` and ``idle_cycles_total``; its RNG stream is the one
 those cycles would draw, but it needs CPython's ``getrandbits`` layout and

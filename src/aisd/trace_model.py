@@ -189,9 +189,6 @@ class ReplayLog:
     def syscall_events(self) -> list[SyscallEvent]:
         return list(map(SyscallEvent, self.event_times, self.event_numbers, self.event_labels))
 
-    def signal_samples(self) -> list[SignalSample]:
-        return list(map(SignalSample, self.signal_times, self.signal_names, self.signal_values))
-
     def __len__(self) -> int:
         return len(self.event_times) + len(self.signal_times)
 

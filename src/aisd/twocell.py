@@ -12,11 +12,10 @@ cycle calls ``run_cells``, which shuffles the ids and runs ``type1_cycle`` or
 ``type2_cycle`` once per id in that order.
 
 A cycle is idle when the store is empty and no Type 1 producer presents a
-key (``TwoCellState.live`` is 0).  Then no Type 1 cell can act and no Type 2
-bind can find a key, so ``run_cells`` makes each Type 2 cell's bind draws,
-ages it and, when due, resets it in one inline loop over the shuffled order,
-with no per-cell call.  The draws are the ones the per-cell functions would
-make, in the same order.
+key (``TwoCellState.live`` is 0).  Then no Type 1 cell can act, so
+``type1_cycle`` returns before it draws, and each Type 2 cell only makes its
+bind draws, ages and, when due, resets; ``run_cells`` counts the cycle in
+the compartment's ``idle_cycles_total`` and runs it like any other.
 
 The hot draws, the cycle's shuffle and the Type 2 binds, call the
 compartment RNG's ``getrandbits(n.bit_length())`` inline and reject values
@@ -107,10 +106,9 @@ class TwoCellState:
     ``timers[i][j]`` more cycles; a free producer holds ``None`` and 0.
     ``live`` counts the keys presented over all producers.  Type 2 cell
     ``n1 + k`` holds the VR locks ``locks[k]``, has emitted ``matches[k]``
-    responses, and is ``ages[k]`` cycles past its last reset.  ``order`` is
-    the order of the last cycle that ran through ``run_cells``; a stepped
-    idle stretch leaves it as it was.  ``idle_kernel`` is what
-    ``idle_stretch`` reads RNG words with, or None when n1 + n2 > 255.
+    responses, and is ``ages[k]`` cycles past its last reset.
+    ``idle_kernel`` is what ``idle_stretch`` reads RNG words with, or None
+    when n1 + n2 > 255.
     """
 
     def __init__(self, params: TwocellParams, rng: random.Random):
@@ -137,7 +135,6 @@ class TwoCellState:
             (i, i + 1, (i + 1).bit_length()) for i in range(self.n1 + self.n2 - 1, 0, -1)
         ]
         self.idle_kernel = _idle_kernel(self.n1, self.shuffle_steps)
-        self.order: list[int] = []
 
 
 def type1_cycle(cell: int, compartment: Compartment, params: TwocellParams) -> None:
@@ -223,9 +220,10 @@ def _reset_locks(compartment: Compartment, locks: list[int]) -> None:
 
 def run_cells(compartment: Compartment) -> None:
     """Run every cell of the compartment's population once, in an order
-    shuffled as ``rng.shuffle`` would shuffle the list of ids; an idle
-    cycle draws and ages its Type 2 cells inline."""
+    shuffled as ``rng.shuffle`` would shuffle the list of ids."""
     state = compartment.twocell
+    if not state.live and not compartment._store:
+        compartment.idle_cycles_total += 1
     n1 = state.n1
     getrandbits = state.getrandbits
     order = list(range(n1 + state.n2))
@@ -234,30 +232,6 @@ def run_cells(compartment: Compartment) -> None:
         while j >= n:
             j = getrandbits(bits)
         order[i], order[j] = order[j], order[i]
-    state.order = order
-
-    if not state.live and not compartment._store:
-        # Idle: every Type 1 timer is 0 and nothing can be drawn, so Type 1
-        # cells do nothing and each bind only makes its draws.
-        bits = n1.bit_length()
-        binds = range(state.binds)
-        ages = state.ages
-        matches = state.matches
-        lifespan = state.params.cell_lifespan
-        for cell in order:
-            k = cell - n1
-            if k < 0:
-                continue
-            for _ in binds:
-                while getrandbits(bits) >= n1:  # randrange(n1), inline
-                    pass
-            age = ages[k] + 1
-            if age >= lifespan and not matches[k]:
-                _reset_locks(compartment, state.locks[k])
-                age = 0
-            ages[k] = age
-        compartment.idle_cycles_total += 1
-        return
 
     params = state.params
     # module globals, so rebinding type1_cycle/type2_cycle takes effect

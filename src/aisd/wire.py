@@ -67,6 +67,11 @@ class ProtocolError(ValueError):
     pass
 
 
+def _check_port(port: int) -> None:
+    if not 0 <= port <= 65535:
+        raise ValueError(f"port must be in 0..65535, got {port}")
+
+
 @dataclass(frozen=True, slots=True)
 class WireMessage:
     kind: MessageKind
@@ -226,8 +231,7 @@ class _Session:
     def __init__(self, conn: socket.socket, address):
         self.conn = conn
         self.address = address
-        self.roles: set[str] = set()
-        self.helloed = False
+        self.roles: set[str] = set()  # empty until HELLO, which names at least one role
         self.write_lock = threading.Lock()
 
     def send_line(self, line: str) -> None:
@@ -260,6 +264,7 @@ class TissueServer:
         port: int = 0,
         cycles_per_second: float | None = None,
     ):
+        _check_port(port)
         self.compartment = compartment
         self.host = host
         self.port = port
@@ -282,7 +287,7 @@ class TissueServer:
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             listener.bind((self.host, self.port))
             listener.listen(32)
-        except OSError:
+        except BaseException:
             listener.close()
             raise
         listener.settimeout(0.2)  # lets the accept loop notice shutdown
@@ -406,14 +411,13 @@ class TissueServer:
     def _dispatch(self, session: _Session, message: WireMessage) -> None:
         kind = message.kind
         if kind is MessageKind.HELLO:
-            if session.helloed:
+            if session.roles:
                 raise ProtocolError("duplicate HELLO")
             if message.version != PROTOCOL_VERSION:
                 raise ProtocolError(f"unsupported protocol version {message.version}")
-            session.helloed = True
             session.roles = set(message.roles)
             return
-        if not session.helloed:
+        if not session.roles:
             raise ProtocolError(f"{kind.value} before HELLO")
         if kind is MessageKind.ANTIGEN:
             # An antigen-role session's ANTIGEN frames never get here: the
@@ -463,6 +467,7 @@ class ReplayConfig:
     tail_time: float = 0.0
 
     def __post_init__(self) -> None:
+        _check_port(self.port)
         # the chained comparisons are also false for nan
         if not 0 < self.rate_multiplier < math.inf:
             raise ValueError(f"rate_multiplier must be finite and > 0, got {self.rate_multiplier}")

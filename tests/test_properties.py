@@ -71,7 +71,7 @@ def test_merge_preserves_counts_and_order(event_times, sample_times):
     samples = [SignalSample(t, "cpu", 0.5) for t in sample_times]
     log = merge_to_replay_log(events, samples, "prop")
     assert len(log.syscall_events()) == len(events)
-    assert len(log.signal_samples()) == len(samples)
+    assert len(log.signal_times) == len(samples)
     stamps = [r.timestamp for r in log.records]
     assert stamps == sorted(stamps)
     # ties: a signal never follows an event with the same timestamp

@@ -127,7 +127,7 @@ def test_attack_bursts_use_novel_syscalls(bundled_logs):
 
 def test_cpu_signal_rises_and_decays(bundled_logs):
     log = bundled_logs["normal1"]
-    samples = {round(s.timestamp, 1): s.value for s in log.signal_samples()}
+    samples = {round(t, 1): v for t, v in zip(log.signal_times, log.signal_values)}
     assert all(0.0 <= v <= 1.0 for v in samples.values())
     # startup burst occupies [0, 1): high during, decayed long after
     assert samples[0.5] > 0.3
@@ -136,10 +136,10 @@ def test_cpu_signal_rises_and_decays(bundled_logs):
 
 
 def test_cpu_sampling_interval(bundled_logs):
-    samples = bundled_logs["normal2"].signal_samples()
-    assert len(samples) == 104 * 10
-    assert samples[0].timestamp == pytest.approx(0.1)
-    assert samples[-1].timestamp == pytest.approx(104.0)
+    times = bundled_logs["normal2"].signal_times
+    assert len(times) == 104 * 10
+    assert times[0] == pytest.approx(0.1)
+    assert times[-1] == pytest.approx(104.0)
 
 
 def test_infeasible_attack_offset():

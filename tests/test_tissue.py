@@ -164,13 +164,21 @@ class TestPopulate:
         assert (comp.twocell.n1, comp.twocell.n2) == (10, 10)
         runs: list = []
         count_cell_runs(monkeypatch, runs)
-        comp.cycle()  # idle: the cells run inline, in the shuffled order
-        assert runs == []
-        assert sorted(comp.twocell.order) == list(range(20))
-        comp.add_antigen(5)
-        comp.cycle()  # something to present: one call per cell
-        assert sorted(cell for _, cell, _ in runs) == list(range(20))
-        assert [cell for _, cell, _ in runs] == comp.twocell.order
+        # an idle cycle, then one with something to present: one call per
+        # cell either way, in the order rng.shuffle gives from the same state
+        for busy in (False, True):
+            if busy:
+                comp.add_antigen(5)
+            shuffled = random.Random()
+            shuffled.setstate(comp.rng.getstate())
+            order = list(range(20))
+            shuffled.shuffle(order)
+            runs.clear()
+            comp.cycle()
+            cells = [cell for _, cell, _ in runs]
+            assert sorted(cells) == list(range(20))
+            assert cells == order
+        assert comp.idle_cycles_total == 1
 
     def test_zero_count_noop(self):
         with pytest.raises(ValueError):
@@ -259,7 +267,7 @@ class TestRandomStream:
         attach_twocell(comp, params)
         runs: list = []
         count_cell_runs(monkeypatch, runs)
-        comp.cycle()  # idle: Type 1 cells draw nothing, no per-cell call
+        comp.cycle()  # idle: Type 1 cells draw nothing
 
         expected = random.Random(seed)
         for _ in range(n2 * 3):
@@ -269,9 +277,9 @@ class TestRandomStream:
         for _ in range(comp.twocell.binds * n2):
             expected.randrange(n1)
         assert comp.rng.getstate() == expected.getstate()
-        assert comp.twocell.order == order
-        assert runs == []
+        assert [cell for _, cell, _ in runs] == order
 
+        runs.clear()
         comp.add_antigen(7)
         comp.cycle()  # the first Type 1 cell in the order draws the antigen
         order = list(range(n1 + n2))
@@ -285,7 +293,6 @@ class TestRandomStream:
                 expected.randrange(1)  # draw_antigen from a store of one
                 drawn = True
         assert comp.rng.getstate() == expected.getstate()
-        assert comp.twocell.order == order
         assert [cell for _, cell, _ in runs] == order
 
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 8, 512, 1000])

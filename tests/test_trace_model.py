@@ -154,7 +154,7 @@ class TestMerge:
         log = merge_to_replay_log(events, samples, "normal1-like")
         assert 37.9 <= log.duration <= 38.0
         assert len(log.syscall_events()) == 405
-        assert len(log.signal_samples()) == 380
+        assert len(log.signal_times) == 380
         assert dataset_stats(log).max_antigen_rate == 405
 
 
@@ -170,7 +170,7 @@ def test_parse_then_merge_preserves_counts():
     samples = parse_monitor_log(monitor_text)
     log = merge_to_replay_log(parsed.events, samples, "roundtrip")
     assert len(log.syscall_events()) == len(parsed.events) == 3
-    assert len(log.signal_samples()) == len(samples) == 3
+    assert len(log.signal_times) == len(samples) == 3
 
 
 class TestDatasetStats:
@@ -198,7 +198,7 @@ class TestReplayLogFormat:
         parsed = parse_replay_log(format_replay_log(log))
         assert parsed.scenario_name == "demo"
         assert len(parsed.syscall_events()) == 2
-        assert len(parsed.signal_samples()) == 1
+        assert len(parsed.signal_times) == 1
         assert parsed.syscall_events()[0].label is Label.ATTACK
 
     def test_rejects_garbage(self):
@@ -274,7 +274,8 @@ class TestColumns:
         with pytest.raises(IndexError):
             records[5]
         assert log.syscall_events() == [r for r in records if isinstance(r, SyscallEvent)]
-        assert log.signal_samples() == [r for r in records if isinstance(r, SignalSample)]
+        assert list(map(SignalSample, log.signal_times, log.signal_names, log.signal_values)) == [
+            r for r in records if isinstance(r, SignalSample)]
 
     def test_len_builds_no_record(self, monkeypatch):
         log = parse_replay_log("S 0.0 cpu 0.5\nA 0.5 4 normal\n")

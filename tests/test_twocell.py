@@ -280,7 +280,7 @@ class TestType2:
 
 
 def reference_run_cells(compartment):
-    """The cycle with no fast path: ``rng.shuffle`` of the ids, then one
+    """The cycle through the stdlib: ``rng.shuffle`` of the ids, then one
     per-cell call per id."""
     state = compartment.twocell
     order = list(range(state.n1 + state.n2))
@@ -292,11 +292,15 @@ def reference_run_cells(compartment):
             aisd.twocell.type2_cycle(cell, compartment, state.params)
 
 
-class TestIdleFastPath:
+class TestInlineShuffle:
+    """``run_cells``' inline shuffle against ``rng.shuffle`` over idle, busy
+    and reset cycles; 100 + 156 cells is a population with no idle kernel."""
+
     RIGGED = 5  # the first Type 2 cell's first lock, fed in as antigen
 
     @pytest.mark.parametrize(
-        "n1, n2, lifespan, seed", [(10, 20, 3, 1), (1, 2, 1, 2), (3, 13, 5, 3), (4, 4, 2, 4)]
+        "n1, n2, lifespan, seed",
+        [(10, 20, 3, 1), (1, 2, 1, 2), (3, 13, 5, 3), (4, 4, 2, 4), (100, 156, 10, 5)],
     )
     def test_equals_per_cell_dispatch(self, monkeypatch, n1, n2, lifespan, seed):
         params = TwocellParams(

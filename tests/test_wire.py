@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import math
+import os
 import random
 import re
 import socket
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -56,6 +60,19 @@ def server(compartment):
 def client_socket(server) -> socket.socket:
     sock = socket.create_connection(("127.0.0.1", server.port), timeout=5)
     return sock
+
+
+def record_sockets(monkeypatch) -> list[socket.socket]:
+    """Make every socket.socket() from here on append itself to the list returned."""
+    created = []
+
+    class RecordingSocket(socket.socket):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            created.append(self)
+
+    monkeypatch.setattr(socket, "socket", RecordingSocket)
+    return created
 
 
 def send_lines(sock, *lines):
@@ -544,16 +561,23 @@ class TestServer:
             good.close()
 
     def test_bind_failure_raises(self, server, monkeypatch):
-        created = []
-
-        class RecordingSocket(socket.socket):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                created.append(self)
-
-        monkeypatch.setattr(socket, "socket", RecordingSocket)
+        created = record_sockets(monkeypatch)
         other = TissueServer(create_compartment(seed=2), host="127.0.0.1", port=server.port)
         with pytest.raises(OSError):
+            other.start()
+        assert len(created) == 1
+        assert created[0].fileno() == -1
+
+    @pytest.mark.parametrize("port", [-1, 65536, 70000])
+    def test_port_out_of_range(self, compartment, port):
+        with pytest.raises(ValueError, match=f"^port must be in 0..65535, got {port}$"):
+            TissueServer(compartment, host="127.0.0.1", port=port)
+
+    def test_start_failure_closes_listener(self, monkeypatch):
+        created = record_sockets(monkeypatch)
+        other = TissueServer(create_compartment(seed=2), host="127.0.0.1", port=0)
+        other.port = 70000  # past the constructor's check: bind raises OverflowError
+        with pytest.raises(OverflowError):
             other.start()
         assert len(created) == 1
         assert created[0].fileno() == -1
@@ -617,6 +641,31 @@ class TestReplay:
             for name in ("start_delay", "tail_time"):
                 with pytest.raises(ValueError, match=f"^{name} must be finite and >= 0, got {value}$"):
                     ReplayConfig(**{name: value})
+
+    @pytest.mark.parametrize("port", [-1, 65536, 70000])
+    def test_port_out_of_range(self, port):
+        with pytest.raises(ValueError, match=f"^port must be in 0..65535, got {port}$"):
+            ReplayConfig(port=port)
+
+    def test_cli_rejects_port_out_of_range(self, tmp_path):
+        # port + 65536 would wrap around to the listener's port if unchecked
+        path = tmp_path / "pacing.tcr"
+        write_replay_log(self.make_log([0.0, 0.1]), path)
+        env = {**os.environ, "PYTHONPATH": str(Path(wire.__file__).parents[1])}
+        with socket.socket() as listener:
+            listener.bind(("127.0.0.1", 0))
+            listener.listen(1)
+            port = listener.getsockname()[1] + 65536
+            result = subprocess.run(
+                [sys.executable, "-m", "aisd.cli", "replay", "--log", str(path),
+                 "--host", "127.0.0.1", "--port", str(port), "--rate", "100"],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            assert result.returncode != 0
+            assert f"port must be in 0..65535, got {port}" in result.stderr
+            listener.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                listener.accept()  # nobody connected
 
     def test_cli_rejects_nan_rate_before_sending(self, tmp_path):
         from aisd import cli

@@ -15,15 +15,13 @@ import argparse
 import sys
 import time
 from dataclasses import replace
-from pathlib import Path
 
-from .harness import check_params_keys, read_plan, run_experiment, run_offline
+from .harness import load_params_file, read_plan, run_experiment, run_offline
 from .policy import evaluate, read_policy
 from .scenarios import BUNDLED_PROFILES, synthesize_scenario
-from .tissue import create_compartment, parse_kv_text, tissue_params_from_kv
+from .tissue import TissueParams, create_compartment
 from .trace_model import dataset_stats, read_replay_log, write_replay_log
-from .twocell import attach_twocell
-from .twocell import params_from_kv as twocell_params_from_kv
+from .twocell import TwocellParams, attach_twocell
 from .wire import DEFAULT_HOST, DEFAULT_PORT, ReplayConfig, TissueServer, replay
 
 
@@ -64,13 +62,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    kv = parse_kv_text(Path(args.params).read_text(encoding="utf-8")) if args.params else {}
-    check_params_keys(kv, extra=("seed",))
-    tissue_params, twocell_params = tissue_params_from_kv(kv), twocell_params_from_kv(kv)
+    tissue_params, twocell_params, extras = (
+        load_params_file(args.params, extra=("seed",)) if args.params
+        else (TissueParams(), TwocellParams(), {})
+    )
     seed = args.seed
     if seed is None:
         try:
-            seed = int(kv.get("seed", 0))
+            seed = int(extras.get("seed", 0))
         except ValueError as exc:
             raise ValueError(f"bad value for 'seed': {exc}") from None
     compartment = create_compartment(tissue_params, seed)

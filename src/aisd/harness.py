@@ -25,10 +25,10 @@ import logging
 import math
 import time
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from .policy import (
     EvaluationRow,
@@ -51,13 +51,9 @@ from .tissue import (
     TissueParams,
     create_compartment,
     format_response_csv,
-    iter_kv_lines,
-    parse_kv_text,
-    tissue_params_from_kv,
 )
-from .trace_model import DatasetStats, ReplayLog, dataset_stats, read_replay_log
+from .trace_model import DatasetStats, ReplayLog, check_finite, dataset_stats, read_replay_log
 from .twocell import TwocellParams, attach_twocell
-from .twocell import params_from_kv as twocell_params_from_kv
 from .wire import ReplayConfig, TissueServer, replay
 
 logger = logging.getLogger(__name__)
@@ -86,18 +82,28 @@ class ExperimentPlan:
     def __post_init__(self) -> None:
         if self.runs_per_dataset < 1:
             raise ValueError("runs_per_dataset must be >= 1")
-        # the chained comparisons are also false for nan
-        for name, delay in (("start_delay", self.start_delay), ("tail_time", self.tail_time)):
-            if not 0 <= delay < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {delay}")
-        if not 0 < self.rate_multiplier < math.inf:
-            raise ValueError(f"rate_multiplier must be finite and > 0, got {self.rate_multiplier}")
+        check_finite("start_delay", self.start_delay)
+        check_finite("tail_time", self.tail_time)
+        check_finite("rate_multiplier", self.rate_multiplier, positive=True)
 
     def normal_datasets(self) -> list[PlanDataset]:
         return [d for d in self.datasets if d.group is ScenarioKind.NORMAL]
 
     def eval_datasets(self) -> list[PlanDataset]:
         return [d for d in self.datasets if d.group is not ScenarioKind.NORMAL]
+
+
+def iter_kv_lines(text: str) -> Iterator[tuple[int, str, str, str]]:
+    """Yield (line number, raw line, key, value) per `key = value` line;
+    # comments and blank lines are skipped."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        key, _, value = line.partition("=")
+        yield lineno, raw, key.strip(), value.strip()
 
 
 PLAN_KEYS = frozenset(
@@ -115,8 +121,9 @@ def parse_plan(text: str, base_dir: str | Path = ".") -> ExperimentPlan:
 
     A dataset line reads `dataset = <path> <group>` with group one of
     normal, success or failure; relative paths resolve against ``base_dir``.
-    A key outside ``PLAN_KEYS``, such as a misspelling, is an error; a key
-    the file leaves out keeps its ``ExperimentPlan`` default.
+    A key outside ``PLAN_KEYS``, such as a misspelling, is an error, and so
+    is a second line for any key but `dataset`; a key the file leaves out
+    keeps its ``ExperimentPlan`` default.
     """
     base = Path(base_dir)
     datasets: list[PlanDataset] = []
@@ -124,6 +131,8 @@ def parse_plan(text: str, base_dir: str | Path = ".") -> ExperimentPlan:
     for lineno, raw, key, value in iter_kv_lines(text):
         if key not in PLAN_KEYS:
             raise ValueError(f"line {lineno}: unknown plan key {key!r}")
+        if key in scalars:
+            raise ValueError(f"line {lineno}: duplicate plan key {key!r}")
         if key == "dataset":
             parts = value.split()
             if len(parts) != 2:
@@ -150,23 +159,45 @@ def read_plan(path: str | Path) -> ExperimentPlan:
     return parse_plan(p.read_text(encoding="utf-8"), base_dir=p.parent)
 
 
-def check_params_keys(kv: Mapping[str, str], extra: Iterable[str] = ()) -> None:
-    """Reject a params key that no parameter reads, such as a misspelling,
-    which would otherwise leave its parameter at the default."""
-    known = {
-        *TissueParams.__dataclass_fields__,
-        *(f"twocell.{name}" for name in TwocellParams.__dataclass_fields__),
-        *extra,
-    }
-    for key in kv:
-        if key not in known:
+def _read_signals(value: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in value.split(",") if s.strip())
+
+
+# every params key: the TissueParams fields, then the TwocellParams fields
+# prefixed "twocell.", each with its dataclass, its field and how it is read
+_PARAMS_KEYS = {
+    prefix + f.name: (cls, f.name, _read_signals if f.name == "signals" else type(f.default))
+    for prefix, cls in (("", TissueParams), ("twocell.", TwocellParams))
+    for f in fields(cls)
+}
+
+
+def load_params_file(
+    path: str | Path, extra: tuple[str, ...] = ()
+) -> tuple[TissueParams, TwocellParams, dict[str, str]]:
+    """Read a `key = value` params file: the one reader of that format.
+
+    A key the file leaves out keeps its default; the keys in ``extra``, such
+    as ``aisd serve``'s `seed`, come back as raw text.  Any other key, such
+    as a misspelling, and a key set twice are errors, found in file order.
+    """
+    kwargs: dict[type, dict[str, object]] = {TissueParams: {}, TwocellParams: {}}
+    extras: dict[str, str] = {}
+    for lineno, _, key, value in iter_kv_lines(Path(path).read_text(encoding="utf-8")):
+        if key in extra:
+            target, name, read = extras, key, str
+        elif key in _PARAMS_KEYS:
+            cls, name, read = _PARAMS_KEYS[key]
+            target = kwargs[cls]
+        else:
             raise ValueError(f"unknown params key {key!r}")
-
-
-def load_params_file(path: str | Path) -> tuple[TissueParams, TwocellParams]:
-    kv = parse_kv_text(Path(path).read_text(encoding="utf-8"))
-    check_params_keys(kv)
-    return tissue_params_from_kv(kv), twocell_params_from_kv(kv)
+        if name in target:
+            raise ValueError(f"line {lineno}: duplicate params key {key!r}")
+        try:
+            target[name] = read(value)
+        except ValueError as exc:
+            raise ValueError(f"bad value for {key!r}: {exc}") from None
+    return TissueParams(**kwargs[TissueParams]), TwocellParams(**kwargs[TwocellParams]), extras
 
 
 @dataclass
@@ -221,8 +252,7 @@ def offline_cycles(
     the stretch.  Every other cycle runs through ``Compartment.cycle``,
     an idle cycle in which a reset falls due included.
     """
-    if not 0 <= tail_time < math.inf:  # also false for nan
-        raise ValueError(f"tail_time must be finite and >= 0, got {tail_time}")
+    check_finite("tail_time", tail_time)
     cps = compartment.params.cycles_per_second
     event_times, numbers, labels = log.event_times, log.event_numbers, log.event_labels
     n_events, n_signals = len(event_times), len(log.signal_times)
@@ -502,7 +532,7 @@ def _resolve_params(
     twocell_params: TwocellParams | None,
 ) -> tuple[TissueParams, TwocellParams]:
     if plan.params_file and (tissue_params is None or twocell_params is None):
-        file_tp, file_wp = load_params_file(plan.params_file)
+        file_tp, file_wp, _ = load_params_file(plan.params_file)
         tissue_params = tissue_params or file_tp
         twocell_params = twocell_params or file_wp
     return tissue_params or TissueParams(), twocell_params or TwocellParams()

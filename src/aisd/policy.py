@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .tissue import ResponseRecord
-from .trace_model import Label, ReplayLog, syscall_name
+from .trace_model import SYSCALL_RANGE, Label, ReplayLog, syscall_name
 
 
 class PolicyProvenance(str, enum.Enum):
@@ -164,6 +164,12 @@ def write_policy(policy: SyscallPolicy, path: str | Path) -> None:
 
 
 def parse_policy(text: str) -> SyscallPolicy:
+    """Parse a policy file as ``format_policy`` writes it.
+
+    Each rule is `permit <nr>`, with 0 <= nr < SYSCALL_RANGE and at most a
+    `# comment` after it; `deny-default` ends the rules, and only blank and
+    comment lines may follow it.  Every error names its line.
+    """
     permitted: set[int] = set()
     provenance = PolicyProvenance.NAIVE
     sources: tuple[str, ...] = ()
@@ -175,22 +181,33 @@ def parse_policy(text: str) -> SyscallPolicy:
         if line.startswith("#"):
             body = line[1:].strip()
             if body.startswith("provenance:"):
-                provenance = PolicyProvenance(body.split(":", 1)[1].strip())
+                value = body.split(":", 1)[1].strip()
+                try:
+                    provenance = PolicyProvenance(value)
+                except ValueError:
+                    raise ValueError(f"line {lineno}: unknown provenance {value!r}") from None
             elif body.startswith("source:"):
                 sources = tuple(
                     s.strip() for s in body.split(":", 1)[1].split(",") if s.strip()
                 )
             continue
+        if terminated:
+            raise ValueError(f"line {lineno}: rule after deny-default: {raw!r}")
         if line == "deny-default":
             terminated = True
             continue
-        parts = line.split()
-        if parts[0] != "permit" or len(parts) < 2:
+        parts = line.partition("#")[0].split()
+        if len(parts) != 2 or parts[0] != "permit":
             raise ValueError(f"line {lineno}: expected 'permit <number>', got {raw!r}")
         try:
-            permitted.add(int(parts[1]))
+            number = int(parts[1])
         except ValueError:
             raise ValueError(f"line {lineno}: bad syscall number {parts[1]!r}") from None
+        if not 0 <= number < SYSCALL_RANGE:
+            raise ValueError(
+                f"line {lineno}: syscall number {number} outside [0, {SYSCALL_RANGE})"
+            )
+        permitted.add(number)
     if not terminated:
         raise ValueError("policy file missing deny-default terminator")
     return SyscallPolicy(frozenset(permitted), provenance, sources)

@@ -41,10 +41,10 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Sequence
 
 from . import twocell
-from .trace_model import Label, syscall_name
+from .trace_model import Label, check_finite, syscall_name
 
 logger = logging.getLogger(__name__)
 
@@ -76,10 +76,7 @@ class TissueParams:
             raise ValueError("at least one signal name is required")
         if self.antigen_capacity < 1:
             raise ValueError("antigen_capacity must be >= 1")
-        if not 0 < self.cycles_per_second < math.inf:  # also false for nan
-            raise ValueError(
-                f"cycles_per_second must be finite and > 0, got {self.cycles_per_second}"
-            )
+        check_finite("cycles_per_second", self.cycles_per_second, positive=True)
 
 
 class Compartment:
@@ -219,42 +216,6 @@ class Compartment:
 def create_compartment(params: TissueParams | None = None, seed: int = 0) -> Compartment:
     """Fresh compartment: empty store, zeroed signals, empty population."""
     return Compartment(params or TissueParams(), seed)
-
-
-# ---------------------------------------------------------------------------
-# key = value parameter files
-# ---------------------------------------------------------------------------
-
-def iter_kv_lines(text: str) -> Iterator[tuple[int, str, str, str]]:
-    """Yield (line number, raw line, key, value) per `key = value` line;
-    # comments and blank lines are skipped."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        yield lineno, raw, key.strip(), value.strip()
-
-
-def parse_kv_text(text: str) -> dict[str, str]:
-    """Parse `key = value` lines; # comments and blank lines ignored."""
-    return {key: value for _, _, key, value in iter_kv_lines(text)}
-
-
-def tissue_params_from_kv(kv: Mapping[str, str]) -> TissueParams:
-    """Params from the keys present; an absent key keeps its default."""
-    kwargs: dict[str, object] = {}
-    if "signals" in kv:
-        kwargs["signals"] = tuple(s.strip() for s in kv["signals"].split(",") if s.strip())
-    for key, convert in (("antigen_capacity", int), ("cycles_per_second", float)):
-        if key in kv:
-            try:
-                kwargs[key] = convert(kv[key])
-            except ValueError as exc:
-                raise ValueError(f"bad value for {key!r}: {exc}") from None
-    return TissueParams(**kwargs)
 
 
 # ---------------------------------------------------------------------------

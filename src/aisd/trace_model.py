@@ -57,10 +57,14 @@ LABELS = {label.value: label for label in Label}
 LABEL_TEXT = {label: label.value for label in Label}
 
 
-def _check_timestamp(timestamp: float) -> None:
-    # also false for nan, which would otherwise sort and compare as nothing
-    if not 0.0 <= timestamp < math.inf:
-        raise ValueError(f"timestamp must be finite and >= 0, got {timestamp}")
+def check_finite(name: str, value: float, positive: bool = False) -> None:
+    """Raise ``ValueError`` unless ``value`` is finite and >= 0, or > 0 when
+    ``positive``; nan, which would otherwise compare as nothing, fails too."""
+    if positive:
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
+    elif not 0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -521,7 +525,7 @@ def parse_strace_log(
                 f"line {lineno}: malformed timestamp {m.group('ts')!r}"
             ) from None
         try:
-            _check_timestamp(timestamp)
+            check_finite("timestamp", timestamp)
         except ValueError as exc:
             raise StraceParseError(f"line {lineno}: {exc}") from None
         name = m.group("name")
@@ -558,7 +562,7 @@ def parse_monitor_log(text: str) -> list[SignalSample]:
         try:
             ts = float(parts[0])
             cpu_raw = float(parts[3])
-            _check_timestamp(ts)
+            check_finite("timestamp", ts)
             if not math.isfinite(cpu_raw):
                 raise ValueError(f"cpu reading must be finite, got {cpu_raw}")
         except ValueError as exc:

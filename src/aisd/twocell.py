@@ -26,7 +26,7 @@ frame per draw.
 ``idle_stretch`` steps a run of idle cycles in one call, as an offline run
 does between windows, and leaves the RNG, the ages and the totals where
 per-cycle ``run_cells`` would.  It stops before a cycle in which a reset
-falls due.  It relies on how CPython (3.10 and 3.11) lays out
+falls due.  It relies on how CPython (checked on 3.10 to 3.13) lays out
 ``getrandbits``, which a tier-1 test pins: ``getrandbits(k)`` for k <= 32 is
 the top k bits of one 32-bit Mersenne Twister word, and ``getrandbits(32 *
 m)`` holds m consecutive words, the first in the lowest 32 bits.  With
@@ -43,7 +43,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING
 
 from .trace_model import SYSCALL_RANGE
 
@@ -76,20 +76,6 @@ class TwocellParams:
             raise ValueError("all twocell counts must be >= 1")
         if self.min_presentation > self.max_presentation:
             raise ValueError("min_presentation must be <= max_presentation")
-
-
-def params_from_kv(kv: Mapping[str, str]) -> TwocellParams:
-    """Params from the ``twocell.<field>`` keys present; an absent key keeps
-    its default."""
-    kwargs = {}
-    for name in TwocellParams.__dataclass_fields__:
-        key = f"twocell.{name}"
-        if key in kv:
-            try:
-                kwargs[name] = int(kv[key])
-            except ValueError as exc:
-                raise ValueError(f"bad value for {key!r}: {exc}") from None
-    return TwocellParams(**kwargs)
 
 
 def presentation_period(cpu_level: float, params: TwocellParams) -> int:

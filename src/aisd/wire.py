@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .tissue import Compartment, ResponseRecord
-from .trace_model import LABELS, SYSCALL_RANGE, Label, ReplayLog
+from .trace_model import LABELS, SYSCALL_RANGE, Label, ReplayLog, check_finite
 
 logger = logging.getLogger(__name__)
 
@@ -468,12 +468,9 @@ class ReplayConfig:
 
     def __post_init__(self) -> None:
         _check_port(self.port)
-        # the chained comparisons are also false for nan
-        if not 0 < self.rate_multiplier < math.inf:
-            raise ValueError(f"rate_multiplier must be finite and > 0, got {self.rate_multiplier}")
-        for name, delay in (("start_delay", self.start_delay), ("tail_time", self.tail_time)):
-            if not 0 <= delay < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {delay}")
+        check_finite("rate_multiplier", self.rate_multiplier, positive=True)
+        check_finite("start_delay", self.start_delay)
+        check_finite("tail_time", self.tail_time)
 
 
 @dataclass(frozen=True)

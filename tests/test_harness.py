@@ -113,9 +113,56 @@ class TestPlanParsing:
         params.write_text(
             "signals = cpu\ncycles_per_second = 20\ntwocell.n_type2 = 7\n"
         )
-        tissue, twocell = load_params_file(params)
+        tissue, twocell, extras = load_params_file(params)
         assert tissue.cycles_per_second == 20.0
         assert twocell.n_type2 == 7
+        assert extras == {}
+
+    def test_params_file_reads_every_field(self, tmp_path):
+        # a value unlike each default for every field, so that a field added
+        # to either dataclass cannot be left out of the params file
+        tissue = TissueParams(signals=("cpu", "net"), antigen_capacity=77, cycles_per_second=2.5)
+        twocell = TwocellParams(**{
+            name: value + 3 for name, value in vars(TwocellParams()).items()
+        })
+        assert all(getattr(tissue, f) != getattr(TissueParams(), f) for f in vars(tissue))
+        assert all(getattr(twocell, f) != getattr(TwocellParams(), f) for f in vars(twocell))
+        lines = [f"signals = {','.join(tissue.signals)}"]
+        lines += [f"{name} = {getattr(tissue, name)}" for name in vars(tissue) if name != "signals"]
+        lines += [f"twocell.{name} = {value}" for name, value in vars(twocell).items()]
+        params = tmp_path / "params.txt"
+        params.write_text("\n".join(lines) + "\n")
+        assert load_params_file(params) == (tissue, twocell, {})
+
+    def test_params_file_extra_keys(self, tmp_path):
+        params = tmp_path / "params.txt"
+        params.write_text("seed = 12\ncycles_per_second = 20\n")
+        tissue, twocell, extras = load_params_file(params, extra=("seed",))
+        assert (tissue, twocell) == (TissueParams(cycles_per_second=20.0), TwocellParams())
+        assert extras == {"seed": "12"}
+
+    @pytest.mark.parametrize("key", ["antigen_capacity", "twocell.n_type1", "seed"])
+    def test_params_file_duplicate_key(self, tmp_path, key):
+        params = tmp_path / "params.txt"
+        params.write_text(f"{key} = 4\nsignals = cpu\n{key} = 5\n")
+        with pytest.raises(ValueError, match=f"^line 3: duplicate params key '{key}'$"):
+            load_params_file(params, extra=("seed",))
+
+    def test_params_file_first_bad_line_wins(self, tmp_path):
+        # lines are checked in file order, so the first bad line is reported
+        params = tmp_path / "params.txt"
+        params.write_text("antigen_capacity = lots\nantigen_capacty = 4\n")
+        with pytest.raises(ValueError, match="^bad value for 'antigen_capacity': "):
+            load_params_file(params)
+        params.write_text("antigen_capacty = 4\nantigen_capacity = lots\n")
+        with pytest.raises(ValueError, match="^unknown params key 'antigen_capacty'$"):
+            load_params_file(params)
+
+    def test_duplicate_plan_key(self):
+        with pytest.raises(ValueError, match="^line 3: duplicate plan key 'runs_per_dataset'$"):
+            parse_plan("runs_per_dataset = 3\ndataset = a.tcr normal\nruns_per_dataset = 5\n")
+        plan = parse_plan("dataset = a.tcr normal\ndataset = b.tcr success\n")
+        assert [d.name for d in plan.datasets] == ["a", "b"]
 
     @pytest.mark.parametrize(
         "line, key", [("twocell.n_type1 = 1.5", "twocell.n_type1"),

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from aisd.harness import ExperimentPlan, PlanDataset, run_offline
 from aisd.policy import (
     EvaluationRow,
     PolicyProvenance,
@@ -17,7 +18,9 @@ from aisd.policy import (
     naive_policy,
     parse_policy,
     policy_from_run,
+    read_policy,
 )
+from aisd.scenarios import ScenarioKind
 from aisd.tissue import ResponseRecord
 from aisd.trace_model import Label, SyscallEvent, merge_to_replay_log
 
@@ -158,6 +161,49 @@ class TestPolicyFile:
     def test_bad_line(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_policy("allow 5\ndeny-default\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("permit -3\ndeny-default\n", "^line 1: syscall number -3 outside"),
+            ("permit 5\npermit 9999\ndeny-default\n", "^line 2: syscall number 9999 outside"),
+            ("permit 512\ndeny-default\n", "^line 1: syscall number 512 outside"),
+            ("permit 5 6\ndeny-default\n", "^line 1: expected 'permit <number>'"),
+            ("permit 5 open\ndeny-default\n", "^line 1: expected 'permit <number>'"),
+            ("permit five\ndeny-default\n", "^line 1: bad syscall number 'five'"),
+            ("permit 5\ndeny-default\n\npermit 7\n", "^line 4: rule after deny-default"),
+            ("deny-default\ndeny-default\n", "^line 2: rule after deny-default"),
+            ("# provenance: twocell_best\ndeny-default\n", "^line 1: unknown provenance"),
+        ],
+    )
+    def test_rejects_bad_rules(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            parse_policy(text)
+
+    def test_comments_around_rules(self):
+        text = "# provenance: naive\npermit 0 # restart\npermit 511#\ndeny-default\n# end\n\n"
+        assert parse_policy(text).permitted == frozenset({0, 511})
+
+    def test_parses_every_experiment_policy(self, bundled_files, tmp_path):
+        plan = ExperimentPlan(
+            datasets=(
+                PlanDataset(str(bundled_files["normal1"]), ScenarioKind.NORMAL),
+                PlanDataset(str(bundled_files["success1"]), ScenarioKind.SUCCESS),
+            ),
+            runs_per_dataset=2,
+            tail_time=2.0,
+        )
+        result = run_offline(plan, tmp_path)
+        written = {
+            tmp_path / f"{run.dataset}/run-{run.index}/policy.txt": run.policy
+            for run in result.runs
+        }
+        written[tmp_path / "naive-policy.txt"] = result.naive
+        written[tmp_path / "average-policy.txt"] = result.average
+        written[tmp_path / "twocell-policy.txt"] = result.reference
+        assert set(written) == set(tmp_path.rglob("*policy.txt"))
+        for path, policy in written.items():
+            assert read_policy(path) == policy
 
 
 class TestReportFormats:

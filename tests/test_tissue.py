@@ -6,12 +6,11 @@ import random
 import pytest
 
 import aisd.twocell
+from aisd.harness import load_params_file
 from aisd.tissue import (
     TissueParams,
     create_compartment,
     format_response_csv,
-    parse_kv_text,
-    tissue_params_from_kv,
 )
 from aisd.trace_model import SYSCALL_RANGE, Label
 from aisd.twocell import TwocellParams, attach_twocell
@@ -311,17 +310,27 @@ class TestRandomStream:
 
 
 class TestParamsFile:
-    def test_parse_kv(self):
-        kv = parse_kv_text("# comment\nsignals = cpu\nantigen_capacity = 50\n")
-        assert kv == {"signals": "cpu", "antigen_capacity": "50"}
+    """The tissue keys of a params file, read by ``harness.load_params_file``."""
 
-    def test_parse_kv_rejects_garbage(self):
+    def read(self, tmp_path, text):
+        path = tmp_path / "params.txt"
+        path.write_text(text)
+        return load_params_file(path)
+
+    def test_parse_kv(self, tmp_path):
+        params, _, extras = self.read(
+            tmp_path, "# comment\nsignals = cpu\nantigen_capacity = 50\n"
+        )
+        assert params == TissueParams(signals=("cpu",), antigen_capacity=50)
+        assert extras == {}
+
+    def test_parse_kv_rejects_garbage(self, tmp_path):
         with pytest.raises(ValueError, match="line 1"):
-            parse_kv_text("nonsense\n")
+            self.read(tmp_path, "nonsense\n")
 
-    def test_tissue_params_from_kv(self):
-        params = tissue_params_from_kv(
-            {"signals": "cpu,net", "antigen_capacity": "500", "cycles_per_second": "5"}
+    def test_tissue_params_from_kv(self, tmp_path):
+        params, _, _ = self.read(
+            tmp_path, "signals = cpu,net\nantigen_capacity = 500\ncycles_per_second = 5\n"
         )
         assert params.signals == ("cpu", "net")
         assert params.antigen_capacity == 500

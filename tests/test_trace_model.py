@@ -17,6 +17,7 @@ from aisd.trace_model import (
     SignalSample,
     StraceParseError,
     SyscallEvent,
+    check_finite,
     dataset_stats,
     format_replay_log,
     merge_to_replay_log,
@@ -342,6 +343,18 @@ class TestNonFiniteTimestamps:
             parse_monitor_log(f"0.0 proc 1 5.0 100\n{token} proc 1 5.0 100\n")
         with pytest.raises(MonitorParseError, match="^line 1: cpu reading must be finite"):
             parse_monitor_log(f"0.0 proc 1 {token} 100\n")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5])
+def test_check_finite(value):
+    with pytest.raises(ValueError, match=f"^rate must be finite and >= 0, got {value}$"):
+        check_finite("rate", value)
+    with pytest.raises(ValueError, match=f"^rate must be finite and > 0, got {value}$"):
+        check_finite("rate", value, positive=True)
+    check_finite("rate", 0.0)
+    check_finite("rate", 2.5, positive=True)
+    with pytest.raises(ValueError, match="^rate must be finite and > 0, got 0.0$"):
+        check_finite("rate", 0.0, positive=True)
 
 
 class TestValidation:

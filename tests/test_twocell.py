@@ -5,12 +5,12 @@ import random
 import pytest
 
 import aisd.twocell
+from aisd.harness import load_params_file
 from aisd.tissue import TissueParams, create_compartment
 from aisd.trace_model import SYSCALL_RANGE
 from aisd.twocell import (
     TwocellParams,
     attach_twocell,
-    params_from_kv,
     presentation_period,
     type2_cycle,
 )
@@ -40,8 +40,10 @@ class TestParams:
         with pytest.raises(ValueError):
             TwocellParams(min_presentation=10, max_presentation=5)
 
-    def test_from_kv_prefix(self):
-        params = params_from_kv({"twocell.n_type1": "4", "twocell.cell_lifespan": "7"})
+    def test_from_kv_prefix(self, tmp_path):
+        path = tmp_path / "params.txt"
+        path.write_text("twocell.n_type1 = 4\ntwocell.cell_lifespan = 7\n")
+        _, params, _ = load_params_file(path)
         assert params.n_type1 == 4
         assert params.cell_lifespan == 7
         assert params.n_type2 == TwocellParams().n_type2

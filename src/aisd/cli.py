@@ -22,16 +22,22 @@ from .scenarios import BUNDLED_PROFILES, synthesize_scenario
 from .tissue import TissueParams, create_compartment
 from .trace_model import dataset_stats, read_replay_log, write_replay_log
 from .twocell import TwocellParams, attach_twocell
-from .wire import DEFAULT_HOST, DEFAULT_PORT, ReplayConfig, TissueServer, replay
+from .wire import DEFAULT_HOST, ReplayConfig, TissueServer, default_port, replay
+
+PORT_HELP = "default: the AISD_PORT environment variable, else 7004"
 
 
 def _add_replay_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--log", required=True, help="replay log file")
     parser.add_argument("--rate", type=float, default=1.0, help="rate multiplier (1.0 = realtime)")
     parser.add_argument("--host", default=DEFAULT_HOST)
-    parser.add_argument("--port", type=int, default=DEFAULT_PORT)
+    parser.add_argument("--port", type=int, default=None, help=PORT_HELP)
     parser.add_argument("--start-delay", type=float, default=0.0, dest="start_delay")
     parser.add_argument("--tail", type=float, default=0.0, help="seconds to hold the connection open after the last record")
+
+
+def _port(args: argparse.Namespace) -> int:
+    return default_port() if args.port is None else args.port
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -66,16 +72,16 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         load_params_file(args.params, extra=("seed",)) if args.params
         else (TissueParams(), TwocellParams(), {})
     )
-    seed = args.seed
-    if seed is None:
-        try:
-            seed = int(extras.get("seed", 0))
-        except ValueError as exc:
-            raise ValueError(f"bad value for 'seed': {exc}") from None
+    try:
+        seed = int(extras.get("seed", 0))
+    except ValueError as exc:
+        raise ValueError(f"bad value for 'seed': {exc}") from None
+    if args.seed is not None:
+        seed = args.seed
     compartment = create_compartment(tissue_params, seed)
     attach_twocell(compartment, twocell_params)
     server = TissueServer(
-        compartment, host=args.host, port=args.port,
+        compartment, host=args.host, port=_port(args),
         cycles_per_second=tissue_params.cycles_per_second,
     )
     server.start()
@@ -94,7 +100,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_replay(args: argparse.Namespace) -> int:
     log = read_replay_log(args.log)
     config = ReplayConfig(
-        host=args.host, port=args.port, rate_multiplier=args.rate,
+        host=args.host, port=_port(args), rate_multiplier=args.rate,
         start_delay=args.start_delay, tail_time=args.tail,
     )
     summary = replay(log, config)
@@ -145,7 +151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("serve", help="run a tissue server with the two-cell detector")
     p.add_argument("--params", default=None, help="key = value parameter file")
     p.add_argument("--host", default=DEFAULT_HOST)
-    p.add_argument("--port", type=int, default=DEFAULT_PORT)
+    p.add_argument("--port", type=int, default=None, help=PORT_HELP)
     p.add_argument("--seed", type=int, default=None, help="overrides the params-file seed")
     p.set_defaults(func=_cmd_serve)
 

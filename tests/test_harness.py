@@ -345,6 +345,20 @@ class TestCli:
         with pytest.raises(ValueError, match=f"unknown params key '{key}'"):
             cli.main(["serve", "--params", str(params), "--port", "0"])
 
+    def test_serve_cli_bad_seed_despite_seed_option(self, tmp_path, monkeypatch, capsys):
+        from aisd import cli
+
+        params = tmp_path / "params.txt"
+        params.write_text("seed = abc\n")
+
+        def interrupt(seconds):  # ends the serve loop, should it start
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli.time, "sleep", interrupt)
+        with pytest.raises(ValueError, match="^bad value for 'seed': .*'abc'$"):
+            cli.main(["serve", "--params", str(params), "--seed", "3", "--port", "0"])
+        assert "serving on" not in capsys.readouterr().out
+
     def test_serve_cli_bad_seed(self, tmp_path):
         from aisd import cli
 

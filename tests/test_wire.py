@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import math
 import os
 import random
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -477,7 +479,15 @@ class TestServer:
         assert wait_until(lambda: not server._sessions)
         assert compartment.antigen_added_total == 1
 
-    def test_finished_session_threads_pruned(self, server, compartment):
+    def test_finished_session_threads_pruned(self, server, compartment, monkeypatch):
+        threads = []  # weak references to the thread each session ran in
+        add_antigen = compartment.add_antigen
+
+        def recording_add(value, label):
+            threads.append(weakref.ref(threading.current_thread()))
+            add_antigen(value, label)
+
+        monkeypatch.setattr(compartment, "add_antigen", recording_add)
         # one connection at a time, each closed by the server after BYE
         for k in range(30):
             sock = client_socket(server)
@@ -488,10 +498,12 @@ class TestServer:
             finally:
                 sock.close()
             assert wait_until(lambda: not server._sessions)
-            # the accept thread, this session's and at most the one before it
-            assert len(server._threads) <= 3
+            # nothing keeps a finished session's thread: only this session's
+            # and at most the one before it are still referenced
+            gc.collect()
+            assert sum(ref() is not None for ref in threads) <= 2
+        assert len(threads) == 30
         assert compartment.antigen_added_total == 30
-        assert server._accept_thread in server._threads
 
     def test_server_survives_bad_client(self, server, compartment):
         bad = client_socket(server)
@@ -581,6 +593,45 @@ class TestServer:
             other.start()
         assert len(created) == 1
         assert created[0].fileno() == -1
+
+    def test_stop_with_silent_client_and_stalled_subscriber(self, compartment, monkeypatch):
+        def flooding_cycle():
+            for _ in range(100):
+                compartment.emit_response(9, 55)
+
+        monkeypatch.setattr(compartment, "cycle", flooding_cycle)
+        srv = TissueServer(compartment, host="127.0.0.1", port=0, cycles_per_second=100)
+        srv.start()
+        silent = client_socket(srv)
+        stalled = socket.socket()
+        try:
+            stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            stalled.settimeout(5)
+            stalled.connect(("127.0.0.1", srv.port))
+            send_lines(stalled, "HELLO 1 response")
+
+            def subscribed():
+                return len(srv._sessions) == 2 and any(s.roles for s in srv._sessions)
+
+            assert wait_until(subscribed)
+            session = next(s for s in srv._sessions if "response" in s.roles)
+            session.conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+
+            def pacer_blocked():  # in a send to the subscriber, which never reads
+                before = len(compartment.response_log)
+                time.sleep(0.2)
+                return len(compartment.response_log) == before > 0
+
+            assert wait_until(pacer_blocked, timeout=10)
+            # in a thread, so that a stop that hangs fails the test
+            stopper = threading.Thread(target=srv.stop, daemon=True)
+            stopper.start()
+            stopper.join(timeout=2.0)
+            assert not stopper.is_alive()
+        finally:
+            silent.close()
+            stalled.close()
+            srv.stop()
 
 
 class TestPacer:
@@ -681,6 +732,36 @@ class TestReplay:
             listener.setblocking(False)
             with pytest.raises(BlockingIOError):
                 listener.accept()  # nobody connected
+
+    @pytest.mark.parametrize(
+        "value, error",
+        [("abc", "AISD_PORT must be an integer, got 'abc'"),
+         ("70000", "port must be in 0..65535, got 70000")],
+    )
+    def test_bad_environment_port(self, tmp_path, value, error):
+        path = tmp_path / "pacing.tcr"
+        write_replay_log(self.make_log([0.0]), path)
+        env = {
+            **os.environ, "AISD_PORT": value,
+            "PYTHONPATH": str(Path(wire.__file__).parents[1]),
+        }
+
+        def run(*args):
+            return subprocess.run(
+                [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
+            )
+
+        # a command that takes no port still runs
+        assert run("-m", "aisd.cli", "synth", "--list-profiles").returncode == 0
+        for args in (
+            ("-m", "aisd.cli", "serve"),
+            ("-m", "aisd.cli", "replay", "--log", str(path)),
+            ("-c", "from aisd.cli import tcreplay_main; tcreplay_main()", "--log", str(path)),
+        ):
+            result = run(*args)
+            assert result.returncode != 0
+            assert error in result.stderr
+            assert "serving on" not in result.stdout
 
     @pytest.mark.parametrize(
         "event_times, signal_times",

@@ -12,9 +12,10 @@ import threading
 import time
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aisd import wire
@@ -632,6 +633,129 @@ class TestServer:
             silent.close()
             stalled.close()
             srv.stop()
+
+    def test_stop_without_clients_returns_at_once(self):
+        # stop() must not wait out the accept loop's 0.2 s poll
+        for seed in range(5):
+            srv = TissueServer(create_compartment(seed=seed), host="127.0.0.1", port=0)
+            srv.start()
+            started = time.monotonic()
+            srv.stop()
+            assert time.monotonic() - started < 0.05
+
+
+class ScriptedConn:
+    """A session's connection whose every ``recv`` returns the next piece, then b""."""
+
+    def __init__(self, pieces):
+        self.unread = list(pieces)
+
+    def recv(self, size):
+        assert size == wire.READ_BYTES
+        return self.unread.pop(0) if self.unread else b""
+
+
+def serve_pieces(pieces) -> tuple[TissueServer, ScriptedConn]:
+    """Run one session that reads exactly ``pieces``, one per recv, on a fresh compartment."""
+    server = TissueServer(create_compartment(TissueParams(), seed=1), host="127.0.0.1")
+    conn = ScriptedConn(pieces)
+    server._serve_client(SimpleNamespace(conn=conn, address=("scripted", 0), roles=set()))
+    return server, conn
+
+
+def serve_one_sendall(stream: bytes) -> TissueServer:
+    """Send ``stream`` to a running server in one sendall; return it once the session ends."""
+    with TissueServer(create_compartment(TissueParams(), seed=1), host="127.0.0.1") as server:
+        with socket.create_connection(("127.0.0.1", server.port), timeout=5) as sock:
+            sock.sendall(stream)
+            assert sock.recv(64) == b""  # the session ended and the server closed it
+        assert wait_until(lambda: not server._sessions)
+    return server
+
+
+VALID_FRAMES = st.one_of(
+    st.builds(
+        "ANTIGEN {} {}".format,
+        st.integers(min_value=0, max_value=SYSCALL_RANGE - 1),
+        st.sampled_from(sorted(LABELS)),
+    ),
+    st.floats(min_value=0.0, max_value=1.0).map("SIGNAL cpu {!r}".format),
+)
+
+
+def padded_antigen(length: int) -> bytes:
+    """A valid ``ANTIGEN`` frame of ``length`` bytes, newline not counted."""
+    frame = "ANTIGEN 6 normal"
+    return frame.replace(" ", " " * (length - len(frame) + 1), 1).encode("ascii")
+
+
+class TestFraming:
+    """A session's frames do not depend on how its byte stream is cut into reads."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(VALID_FRAMES, min_size=1, max_size=400),
+        st.lists(st.integers(min_value=1, max_value=4096), min_size=1, max_size=40),
+    )
+    def test_pieces_match_one_sendall(self, frames, sizes):
+        stream = "".join(f"{line}\n" for line in ["HELLO 1 antigen,signal", *frames, "BYE"])
+        stream = stream.encode("ascii")
+        pieces, start = [], 0
+        while start < len(stream):  # mostly cut inside a frame
+            size = sizes[len(pieces) % len(sizes)]
+            pieces.append(stream[start:start + size])
+            start += size
+        cut, conn = serve_pieces(pieces)
+        whole = serve_one_sendall(stream)
+        assert not conn.unread
+        for server in (cut, whole):
+            assert server.frames_rejected_total == 0
+        cut, whole = cut.compartment, whole.compartment
+        assert list(cut._store) == list(whole._store)
+        assert cut.antigen_added_total == whole.antigen_added_total
+        assert cut.get_signal("cpu") == whole.get_signal("cpu")
+        signals = sum(line.startswith("SIGNAL") for line in frames)
+        assert cut.signals_set_total == whole.signals_set_total == signals
+
+    @pytest.mark.parametrize("cut", [1, 128, MAX_FRAME_BYTES - 1, MAX_FRAME_BYTES])
+    @pytest.mark.parametrize("extra, accepted", [(0, 3), (1, 1)])
+    def test_frame_length_cap_across_reads(self, caplog, cut, extra, accepted):
+        # the frame, newline included, is at the cap or one byte over it
+        line = padded_antigen(MAX_FRAME_BYTES - 1 + extra) + b"\n"
+        pieces = [b"HELLO 1 antigen\nANTIGEN 5 normal\n" + line[:cut], line[cut:],
+                  b"ANTIGEN 7 normal\nBYE\n"]
+        server, _ = serve_pieces([piece for piece in pieces if piece])  # b"" would end it
+        assert server.compartment.antigen_added_total == accepted
+        assert server.frames_rejected_total == extra
+        if extra:
+            assert f"frame longer than {MAX_FRAME_BYTES} bytes" in caplog.text
+
+    def test_pending_frame_at_cap_rejected_before_newline(self, server, compartment, caplog):
+        sock = client_socket(server)
+        try:
+            sock.sendall(b"HELLO 1 antigen\nANTIGEN 5 normal\n" + padded_antigen(MAX_FRAME_BYTES))
+            sock.settimeout(5)
+            assert sock.recv(64) == b""  # closed with the newline still to come
+        finally:
+            sock.close()
+        assert wait_until(lambda: not server._sessions)
+        assert compartment.antigen_added_total == 1
+        assert server.frames_rejected_total == 1
+        assert f"frame longer than {MAX_FRAME_BYTES} bytes" in caplog.text
+
+    def test_hello_and_antigen_in_one_read(self):
+        server, _ = serve_pieces([b"HELLO 1 antigen\nANTIGEN 5 normal\nANTIGEN 6 attack\n"])
+        assert list(server.compartment._store) == [(5, Label.NORMAL), (6, Label.ATTACK)]
+        assert server.frames_rejected_total == 0
+
+    def test_frames_after_bye_in_one_read_ignored(self):
+        server, conn = serve_pieces([
+            b"HELLO 1 antigen\nANTIGEN 5 normal\nBYE\nANTIGEN 6 normal\nNONSENSE\nANTIGEN 7",
+            b" normal\n",
+        ])
+        assert list(server.compartment._store) == [(5, Label.NORMAL)]
+        assert server.frames_rejected_total == 0
+        assert conn.unread == [b" normal\n"]
 
 
 class TestPacer:

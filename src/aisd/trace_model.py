@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Iterator
 
 logger = logging.getLogger(__name__)
 
@@ -664,13 +664,47 @@ def write_replay_log(log: ReplayLog, path: str | Path) -> None:
     Path(path).write_text(format_replay_log(log), encoding="utf-8", newline="\n")
 
 
-def parse_replay_log(text: str, default_name: str = "unnamed") -> ReplayLog:
+# characters per piece that parse_replay_log takes at a time
+_PARSE_CHARS = 64 * 1024
+
+
+def _line_blocks(pieces: Iterable[str]) -> Iterator[list[str]]:
+    """The lines of the pieces' concatenation, a list per piece.
+
+    Each piece is cut just after its last ``"\n"``, which always ends a line,
+    and the rest goes ahead of the next piece; so the lists together are
+    exactly ``"".join(pieces).splitlines()``, whatever the line boundaries.
+    """
+    rest = ""
+    for piece in pieces:
+        cut = piece.rfind("\n") + 1
+        if cut:
+            yield (rest + piece[:cut]).splitlines()
+            rest = piece[cut:]
+        else:
+            rest += piece
+    if rest:
+        yield rest.splitlines()
+
+
+def parse_replay_log(text: str | Iterable[str], default_name: str = "unnamed") -> ReplayLog:
     """Parse the replay-log format in one pass, straight into columns.
 
-    Each line is checked as ``SyscallEvent``/``SignalSample`` would check
-    it.  A kind whose lines are out of time order is stably sorted; a file
-    in order, as ``write_replay_log`` writes it, is not.
+    ``text`` is the log's text, or an iterable of pieces whose concatenation
+    is the text; a ``str`` is read in pieces of ``_PARSE_CHARS`` characters.
+    Lines are those of ``str.splitlines``, held one piece at a time, and a
+    column's list is freed as its tuple is built, so parsing holds little
+    beyond the log it returns.  Each line is checked as
+    ``SyscallEvent``/``SignalSample`` would check it.  A kind whose lines
+    are out of time order is stably sorted; a file in order, as
+    ``write_replay_log`` writes it, is not.
     """
+    if isinstance(text, str):
+        pieces: Iterable[str] = (
+            text[i:i + _PARSE_CHARS] for i in range(0, len(text), _PARSE_CHARS)
+        )
+    else:
+        pieces = text
     name = default_name
     event_times: list[float] = []
     event_numbers: list[int] = []
@@ -684,7 +718,7 @@ def parse_replay_log(text: str, default_name: str = "unnamed") -> ReplayLog:
     events_in_order = signals_in_order = True
     last_event = last_signal = 0.0
     inf = math.inf
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(chain.from_iterable(_line_blocks(pieces)), start=1):
         parts = raw.split()
         if not parts:
             continue
@@ -728,15 +762,33 @@ def parse_replay_log(text: str, default_name: str = "unnamed") -> ReplayLog:
             raise
         except ValueError as exc:
             raise ReplayLogFormatError(f"line {lineno}: {exc}") from None
-    events = (event_times, event_numbers, event_labels)
+    # the bound appends hold the lists too; rebinding each column's name to
+    # its tuple then frees its list before the next tuple is built
+    del add_time, add_number, add_label
+    if events_in_order:
+        event_times = tuple(event_times)
+        event_numbers = tuple(event_numbers)
+        event_labels = tuple(event_labels)
+    else:
+        event_times, event_numbers, event_labels = sort_by_time(
+            event_times, event_numbers, event_labels
+        )
     signals = (signal_times, signal_names, signal_values)
     return ReplayLog(
-        name,
-        *(map(tuple, events) if events_in_order else sort_by_time(*events)),
+        name, event_times, event_numbers, event_labels,
         *(map(tuple, signals) if signals_in_order else sort_by_time(*signals)),
     )
 
 
 def read_replay_log(path: str | Path) -> ReplayLog:
+    """Parse a replay-log file, named by its stem unless it names itself.
+
+    The file is decoded as UTF-8, with the universal newlines of
+    ``Path.read_text``, and handed to ``parse_replay_log`` in pieces of
+    ``_PARSE_CHARS`` characters, so its whole text is never held.  Bytes that
+    are not UTF-8 raise ``UnicodeDecodeError`` (a ``ValueError``) when their
+    piece is read; a format error in an earlier line is reported first.
+    """
     p = Path(path)
-    return parse_replay_log(p.read_text(encoding="utf-8"), default_name=p.stem)
+    with p.open(encoding="utf-8") as f:
+        return parse_replay_log(iter(lambda: f.read(_PARSE_CHARS), ""), default_name=p.stem)

@@ -240,6 +240,24 @@ class TestOfflineExperiment:
         assert result.policies_written() == 2
         assert (tmp_path / "exp" / "missing" / "run-0" / "failed.txt").is_file()
 
+        # invalid UTF-8 after the parser's first 64 Ki-character piece
+        garbled = tmp_path / "garbled.tcr"
+        garbled.write_bytes(b"# scenario garbled\n" + b"A 0.000000 5 normal\n" * 4000 + b"A \xff\n")
+        plan = ExperimentPlan(
+            datasets=(
+                PlanDataset(str(bundled_files["normal1"]), ScenarioKind.NORMAL),
+                PlanDataset(str(garbled), ScenarioKind.FAILURE),
+            ),
+            runs_per_dataset=2,
+            tail_time=5.0,
+        )
+        result = run_offline(plan, tmp_path / "exp-garbled", FAST_TISSUE, FAST_TWOCELL)
+        failed = [r for r in result.runs if r.failed]
+        assert len(failed) == 2
+        assert all(r.dataset == "garbled" for r in failed)
+        assert result.policies_written() == 2
+        assert (tmp_path / "exp-garbled" / "garbled" / "run-0" / "failed.txt").is_file()
+
     def test_empty_dataset(self, tmp_path):
         empty = tmp_path / "empty.tcr"
         empty.write_text("# scenario empty\n")

@@ -3,11 +3,13 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
+from itertools import chain, cycle
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import aisd.trace_model
 from aisd.policy import naive_policy
 from aisd.trace_model import (
     Label,
@@ -126,6 +128,59 @@ def test_replay_log_columns_round_trip(events, samples, rnd):
     )
     assert from_file == from_records
     assert list(from_file.records) == stable_merge(shuffled)
+
+
+# every line boundary of str.splitlines
+LINE_ENDS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e",
+             "\x85", "\u2028", "\u2029"]
+log_lines = st.one_of(
+    file_events.map(lambda events: [file_line(e)[:-1] for e in events]),
+    file_samples.map(lambda samples: [file_line(s)[:-1] for s in samples]),
+    st.lists(st.sampled_from(["# scenario streamed", "#", "# note", "", "  ", "\t"]),
+             max_size=3),
+    # a comment that outlasts a piece
+    st.integers(min_value=60_000, max_value=140_000).map(lambda n: ["# " + "x" * n]),
+    # a malformed record, rejected wherever it falls
+    st.sampled_from(["A 0.1 5", "Z 0.1 what 1", "A 0.1 600 normal", "S 0.1 cpu 2"]).map(
+        lambda line: [line]),
+)
+
+
+def cut(text: str, sizes: list[int]) -> list[str]:
+    """``text`` in consecutive pieces of the given sizes, taken in turn."""
+    pieces = []
+    start = 0
+    for size in cycle(sizes):
+        if start >= len(text):
+            return pieces
+        pieces.append(text[start:start + size])
+        start += size
+
+
+def parse_outcome(source):
+    try:
+        return parse_replay_log(source, "prop")
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None)
+@given(
+    st.lists(log_lines, max_size=12).map(lambda groups: [line for g in groups for line in g]),
+    st.lists(st.sampled_from(LINE_ENDS), min_size=1, max_size=8),
+    st.booleans(),
+    st.lists(st.one_of(st.integers(min_value=1, max_value=8),
+                       st.integers(min_value=1, max_value=70_000)), min_size=1, max_size=8),
+)
+def test_replay_log_pieces_parse_as_whole_text(lines, ends, last_end, sizes):
+    text = "".join(line + ends[k % len(ends)] for k, line in enumerate(lines))
+    if lines and not last_end:
+        text = text[:-len(ends[(len(lines) - 1) % len(ends)])]
+    pieces = cut(text, sizes)
+    assert "".join(pieces) == text
+    lines_read = chain.from_iterable(aisd.trace_model._line_blocks(iter(pieces)))
+    assert list(lines_read) == text.splitlines()
+    assert parse_outcome(iter(pieces)) == parse_outcome(text)
 
 
 @given(timestamps)

@@ -1,13 +1,16 @@
 from __future__ import annotations
 
 import dataclasses
+import gc
 import math
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 import aisd.trace_model
+from aisd.scenarios import ScenarioKind, ScenarioProfile, synthesize_scenario
 from aisd.trace_model import (
     SYSCALL_NAMES,
     Label,
@@ -24,8 +27,10 @@ from aisd.trace_model import (
     parse_monitor_log,
     parse_replay_log,
     parse_strace_log,
+    read_replay_log,
     syscall_name,
     syscall_number,
+    write_replay_log,
 )
 
 STRACE_FIXTURE = """\
@@ -343,6 +348,95 @@ class TestNonFiniteTimestamps:
             parse_monitor_log(f"0.0 proc 1 5.0 100\n{token} proc 1 5.0 100\n")
         with pytest.raises(MonitorParseError, match="^line 1: cpu reading must be finite"):
             parse_monitor_log(f"0.0 proc 1 {token} 100\n")
+
+
+PIECE = 64 * 1024  # the parser's piece size, in characters
+
+
+def long_log(min_chars: int) -> ReplayLog:
+    """A log whose file text is at least ``min_chars`` long."""
+    count = min_chars // 20 + 1  # each event line is over 20 characters
+    events = [SyscallEvent(k / 1000, k % 512, Label.ATTACK if k % 7 == 0 else Label.NORMAL)
+              for k in range(count)]
+    samples = [SignalSample(k / 10, "cpu", (k % 11) / 10) for k in range(count // 100)]
+    return merge_to_replay_log(events, samples, "long")
+
+
+class TestStreamedParse:
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_file_read_equals_text_parse(self, tmp_path, newline):
+        log = long_log(4 * PIECE + 1)
+        text = format_replay_log(log)
+        assert len(text) > 4 * PIECE
+        path = tmp_path / "long.tcr"
+        path.write_bytes(text.replace("\n", newline).encode("utf-8"))
+        parsed = read_replay_log(path)
+        assert parsed == parse_replay_log(path.read_text(encoding="utf-8"))
+        assert parsed == log
+
+    def test_default_name_is_file_stem(self, tmp_path):
+        path = tmp_path / "plain.tcr"
+        path.write_text("A 0.5 4 normal\n", encoding="utf-8")
+        assert read_replay_log(path).scenario_name == "plain"
+
+    @pytest.mark.parametrize("head_lines", [0, 5000])
+    @pytest.mark.parametrize("separator", ["\x0c", "\x1c", "\x85", "\u2028"])
+    def test_separator_inside_record_splits_it(self, tmp_path, separator, head_lines):
+        # "A 1.0 5<sep>normal" is two lines, as str.splitlines reads it: the
+        # first has three fields and is rejected
+        head = "A 0.000000 5 normal\n" * head_lines
+        text = f"# scenario x\n{head}S 0.0 cpu 0.5\nA 1.0 5{separator}normal\n"
+        message = f"^line {head_lines + 3}: unrecognized record 'A 1.0 5'$"
+        with pytest.raises(ReplayLogFormatError, match=message):
+            parse_replay_log(text)
+        path = tmp_path / "sep.tcr"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ReplayLogFormatError, match=message):
+            read_replay_log(path)
+
+    def test_every_cut_into_two_pieces_reads_as_the_whole_text(self):
+        # a cut between "\r" and "\n" must not add a line
+        text = "# scenario x\r\nA 0.1 5 normal\r\rS 0.2 cpu 0.5\n\x85\r\nA 0.3 7 attack\u2028Z bad\r\n"
+        message = "^line 8: unrecognized record 'Z bad'$"
+        with pytest.raises(ReplayLogFormatError, match=message):
+            parse_replay_log(text)
+        for k in range(len(text) + 1):
+            with pytest.raises(ReplayLogFormatError, match=message):
+                parse_replay_log([text[:k], text[k:]])
+
+    def test_error_after_first_piece_has_true_line_number(self, tmp_path):
+        lines = format_replay_log(long_log(PIECE + 1)).splitlines(keepends=True)
+        assert sum(map(len, lines)) > PIECE
+        text = "".join(lines) + "A 0.1 5\n"
+        message = f"^line {len(lines) + 1}: unrecognized record 'A 0.1 5'$"
+        with pytest.raises(ReplayLogFormatError, match=message):
+            parse_replay_log(text)
+        path = tmp_path / "late.tcr"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ReplayLogFormatError, match=message):
+            read_replay_log(path)
+
+    def test_transient_memory_of_file_read(self, tmp_path):
+        # ~100k events; what the read allocates beyond what the log keeps
+        # stays under half of what it keeps
+        profile = ScenarioProfile(
+            "mem", ScenarioKind.NORMAL, startup_burst=50_000, shutdown_burst=25,
+            attack_bursts=(), interaction_events=50_000, duration=20, seed=11,
+        )
+        path = tmp_path / "mem.tcr"
+        write_replay_log(synthesize_scenario(profile), path)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            log = read_replay_log(path)
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(log.event_times) >= 100_000
+        retained = after - before
+        assert peak - after <= 0.5 * retained
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5])

@@ -7,12 +7,12 @@ the same records straight into a fresh compartment with a fixed
 records-to-cycles rule (no sockets, no pacing), which makes whole
 experiments deterministic per seed and much faster than realtime.
 ``offline_cycles`` is that rule's one implementation: it ingests by window,
-straight from the replay log's columns, and yields each cycle's report, so
-a caller that watches the tissue between cycles drives the same run as
-``run_single_offline``.  Between windows it steps over idle cycles with
-``Compartment.idle_stretch`` (the same RNG stream draw for draw, on CPython
-with n1 + n2 <= 255; see ``twocell``); between the reports of one stretch
-the compartment already holds its state after the stretch.
+straight from the replay log's syscall-number column, and yields each
+cycle's report, so a caller that watches the tissue between cycles drives
+the same run as ``run_single_offline``.  Between windows it steps over idle
+cycles with ``Compartment.idle_stretch`` (the same RNG stream draw for draw,
+on CPython with n1 + n2 <= 255; see ``twocell``); between the reports of one
+stretch the compartment already holds its state after the stretch.
 
 Output layout per experiment directory:
 
@@ -254,7 +254,7 @@ def offline_cycles(
     """
     check_finite("tail_time", tail_time)
     cps = compartment.params.cycles_per_second
-    event_times, numbers, labels = log.event_times, log.event_numbers, log.event_labels
+    event_times, numbers = log.event_times, log.event_numbers
     n_events, n_signals = len(event_times), len(log.signal_times)
     e = s = 0
     total_cycles = int(math.floor(log.duration * cps)) + 1 + int(round(tail_time * cps))
@@ -264,7 +264,7 @@ def offline_cycles(
         s = _set_signals(compartment, log, s, horizon)
         if e < n_events and event_times[e] < horizon:
             end = bisect_left(event_times, horizon, e + 1)
-            compartment.add_events(numbers[e:end], labels[e:end])
+            compartment.add_events(numbers[e:end])
             e = end
         # no event is delivered before cycles count + 1 .. stop: the loop
         # next delivers one at count stop, or stops looping at total_cycles

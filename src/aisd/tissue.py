@@ -20,11 +20,12 @@ returns, so a driver that then yields one report per stepped cycle, as
 
 External writers (wire sessions) may add antigen and set signals
 concurrently with a cycling thread; individual writes are atomic and become
-visible no later than the start of the next cycle.  ``add_antigen`` adds one
-antigen (a wire frame); ``add_events`` adds a batch given as syscall-number
-and label columns, such as an offline run's window of events between two
-cycles, in one locked ``deque.extend``.  Both count the antigen they add and
-the oldest antigen the bounded store drops to make room.
+visible no later than the start of the next cycle.  The store holds syscall
+numbers only (an event's label is ground truth, for the evaluation alone):
+``add_antigen`` adds one (a wire frame's), ``add_events`` a batch, such as an
+offline run's window of events between two cycles, in one locked
+``deque.extend``.  Both count the antigen they add and the oldest antigen the
+bounded store drops to make room.
 
 Run totals on the compartment: antigen added and dropped, signals set and
 clamped into [0, 1], idle cycles, Type 2 lock resets, and the antigen
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from . import twocell
-from .trace_model import Label, check_finite, syscall_name
+from .trace_model import SYSCALL_RANGE, check_finite, syscall_name
 
 logger = logging.getLogger(__name__)
 
@@ -97,7 +98,7 @@ class Compartment:
         self.responses_total = 0
         self.twocell: twocell.TwoCellState | None = None
         # bounded store: at capacity, append drops the oldest antigen
-        self._store: deque[tuple[int, Label]] = deque(maxlen=params.antigen_capacity)
+        self._store: deque[int] = deque(maxlen=params.antigen_capacity)
         self._signals: dict[str, float] = {name: 0.0 for name in params.signals}
         # called with each response as it is emitted, such as a server's forwarder
         self.response_listener: Callable[[ResponseRecord], None] | None = None
@@ -117,33 +118,29 @@ class Compartment:
 
     # -- external inputs ---------------------------------------------------
 
-    def add_antigen(self, value: int, label: Label = Label.NORMAL) -> None:
-        if value < 0:
-            raise ValueError(f"antigen value must be >= 0, got {value}")
-        if not isinstance(label, Label):
-            label = Label(label)
+    def add_antigen(self, value: int) -> None:
+        if not 0 <= value < SYSCALL_RANGE:
+            raise ValueError(f"antigen value {value} outside [0, {SYSCALL_RANGE})")
         with self._lock:
             store = self._store
             if len(store) == store.maxlen:
                 self.antigen_dropped_total += 1
-            store.append((value, label))
+            store.append(value)
             self.antigen_added_total += 1
 
-    def add_events(self, numbers: Sequence[int], labels: Sequence[Label]) -> None:
-        """Add each (numbers[k], labels[k]) as antigen, in order.
+    def add_events(self, numbers: Sequence[int]) -> None:
+        """Add each syscall number as antigen, in order.
 
-        The same store state and counters as one ``add_antigen`` per pair:
+        The same store state and counters as one ``add_antigen`` per number:
         at capacity the oldest antigen is dropped for each one added.  The
-        columns come from a validated replay log, so nothing is checked
-        again.
+        numbers come from a validated replay log and are not checked again.
         """
         with self._lock:
             store = self._store
-            kept = len(store)
-            store.extend(zip(numbers, labels))
-            added = len(numbers)
-            self.antigen_added_total += added
-            self.antigen_dropped_total += kept + added - len(store)
+            held = len(store) + len(numbers)  # were nothing dropped
+            store.extend(numbers)
+            self.antigen_added_total += len(numbers)
+            self.antigen_dropped_total += held - len(store)
 
     def set_signal(self, name: str, level: float) -> None:
         if name not in self._signals:
@@ -167,7 +164,7 @@ class Compartment:
 
     # -- cycle-internal operations (called by the cell cycle functions) ----
 
-    def draw_antigen(self) -> tuple[int, Label] | None:
+    def draw_antigen(self) -> int | None:
         """Remove and return one antigen chosen uniformly at random."""
         store = self._store
         n = len(store)

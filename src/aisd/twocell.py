@@ -154,7 +154,7 @@ def type1_cycle(cell: int, compartment: Compartment, params: TwocellParams) -> N
                 return
             if not period:
                 period = presentation_period(compartment.get_signal("cpu"), params)
-            keys[j] = drawn[0]
+            keys[j] = drawn
             timers[j] = period
             state.live += 1
             ingest -= 1

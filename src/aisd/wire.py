@@ -288,11 +288,12 @@ class TissueServer:
     sessions down and joins their threads.  A session reads its socket in
     chunks of up to ``READ_BYTES`` and decodes the frames of each chunk one
     by one in a single read loop: an ``ANTIGEN`` frame from an antigen-role
-    session goes straight to ``compartment.add_antigen``, and every other
-    frame is checked against the session's state there too.  If
-    ``cycles_per_second`` is given, a pacer thread cycles the compartment
-    while the server runs; when a cycle overruns, the pacer does not catch
-    up, and counts the whole intervals it missed in ``cycles_skipped_total``.
+    session goes straight to ``compartment.add_antigen`` (its number only:
+    ``decode`` has checked its label), and every other frame is checked
+    against the session's state there too.  If ``cycles_per_second`` is
+    given (finite and > 0), a pacer thread cycles the compartment while the
+    server runs; when a cycle overruns, the pacer does not catch up, and
+    counts the whole intervals it missed in ``cycles_skipped_total``.
     A response client whose send fails is dropped, and the response it
     missed is counted in ``responses_dropped_total``.  A frame that fails to
     decode or breaks the protocol closes its session and is counted in
@@ -307,6 +308,8 @@ class TissueServer:
         cycles_per_second: float | None = None,
     ):
         _check_port(port)
+        if cycles_per_second is not None:
+            check_finite("cycles_per_second", cycles_per_second, positive=True)
         self.compartment = compartment
         self.host = host
         self.port = port
@@ -327,7 +330,7 @@ class TissueServer:
         self.port = listener.server_address[1]
         self.compartment.start_realtime_clock()
         self.compartment.response_listener = self._forward_response
-        if self.cycles_per_second:
+        if self.cycles_per_second is not None:
             self._pacer = threading.Thread(target=self._pace_cycles, daemon=True)
             self._pacer.start()
         threading.Thread(target=listener.serve_forever, args=(0.2,), daemon=True).start()
@@ -395,7 +398,7 @@ class TissueServer:
                     message = decode(frame + b"\n")
                     kind = message.kind
                     if kind is antigen and adds_antigen:
-                        self.compartment.add_antigen(message.number, message.label)
+                        self.compartment.add_antigen(message.number)
                         # the common frame skips the tests below.  The loop
                         # over a read's frames jumps backward once per frame,
                         # which CPython 3.11 counts toward specializing this

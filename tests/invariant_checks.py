@@ -56,6 +56,13 @@ def _type2_cells(compartment):
     ]
 
 
+def holds_numbers_only(compartment) -> bool:
+    """Whether every stored antigen and every presented key is a plain
+    ``int``: the detector sees syscall numbers, never an event's label."""
+    presented = [key for keys in compartment.twocell.keys for key in keys if key is not None]
+    return all(type(value) is int for value in [*compartment._store, *presented])
+
+
 def check_antigen_conservation(rng: random.Random) -> None:
     """Store shrinkage per cycle equals antigen newly presented that cycle,
     and so does the cycle's reported consumption; the population's live

@@ -24,6 +24,8 @@ from aisd.tissue import Compartment, TissueParams, create_compartment
 from aisd.trace_model import Label, SignalSample, SyscallEvent, merge_to_replay_log
 from aisd.twocell import TwocellParams, attach_twocell
 
+from invariant_checks import holds_numbers_only
+
 FAST_TISSUE = TissueParams(cycles_per_second=10.0)
 FAST_TWOCELL = TwocellParams()
 
@@ -565,6 +567,30 @@ def test_consumed_and_response_totals(bundled_logs):
     assert compartment.responses_total == responses == len(compartment.response_log) > 0
 
 
+def test_ground_truth_never_reaches_the_detector(bundled_logs):
+    """Before every cycle of an offline run on an attack log, the store and
+    the presented keys hold syscall numbers only, not the events' labels."""
+    compartment = create_compartment(FAST_TISSUE, 3)
+    attach_twocell(compartment, FAST_TWOCELL)
+    cycle = compartment.cycle
+    checked = presented = 0
+
+    def checking_cycle():
+        nonlocal checked, presented
+        assert holds_numbers_only(compartment)
+        checked += 1
+        presented += compartment.twocell.live
+        return cycle()
+
+    compartment.cycle = checking_cycle
+    log = bundled_logs["success1"]
+    assert Label.ATTACK in log.event_labels
+    for _ in aisd.harness.offline_cycles(log, compartment, 10.0):
+        pass
+    assert holds_numbers_only(compartment)
+    assert checked > 0 and presented > 0
+
+
 def snapshot(compartment) -> tuple:
     return (list(compartment._store), compartment.get_signal("cpu"),
             compartment.antigen_added_total, compartment.signals_set_total)
@@ -578,7 +604,7 @@ def per_event_feed(log, tissue_params, twocell_params, seed, tail_time):
     attach_twocell(compartment, twocell_params)
     cps = tissue_params.cycles_per_second
     records = [*zip(log.signal_times, repeat(0), log.signal_names, log.signal_values),
-               *zip(log.event_times, repeat(1), log.event_numbers, log.event_labels)]
+               *zip(log.event_times, repeat(1), log.event_numbers, repeat(None))]
     records.sort(key=lambda record: record[:2])
     idx = 0
     snapshots = []
@@ -588,7 +614,7 @@ def per_event_feed(log, tissue_params, twocell_params, seed, tail_time):
         while idx < len(records) and records[idx][0] < horizon:
             _, rank, key, value = records[idx]
             if rank:
-                compartment.add_antigen(key, value)
+                compartment.add_antigen(key)
             else:
                 compartment.set_signal(key, value)
             idx += 1

@@ -12,7 +12,7 @@ from aisd.tissue import (
     create_compartment,
     format_response_csv,
 )
-from aisd.trace_model import SYSCALL_RANGE, Label
+from aisd.trace_model import SYSCALL_RANGE
 from aisd.twocell import TwocellParams, attach_twocell
 
 
@@ -66,6 +66,18 @@ class TestInputs:
         with pytest.raises(ValueError):
             comp.add_antigen(-1)
 
+    @pytest.mark.parametrize("value", [-1, SYSCALL_RANGE, 10**6])
+    def test_out_of_range_antigen_rejected(self, value):
+        # a value no Type 2 lock can match would otherwise take a store slot,
+        # and at capacity evict a real antigen
+        comp = create_compartment(TissueParams(antigen_capacity=2), seed=1)
+        comp.add_antigen(0)
+        comp.add_antigen(SYSCALL_RANGE - 1)
+        with pytest.raises(ValueError, match=r"outside \[0, 512\)"):
+            comp.add_antigen(value)
+        assert list(comp._store) == [0, SYSCALL_RANGE - 1]
+        assert (comp.antigen_added_total, comp.antigen_dropped_total) == (2, 0)
+
     def test_signal_last_writer_wins(self):
         comp = create_compartment(seed=1)
         comp.set_signal("cpu", 0.3)
@@ -102,31 +114,20 @@ class TestInputs:
         for value in (10, 11, 12, 13):
             comp.add_antigen(value)
         assert comp.antigen_count() == 3
-        assert comp._store[0][0] == 11
-
-    def test_label_string_converted(self):
-        comp = create_compartment(seed=1)
-        comp.add_antigen(5, "attack")
-        comp.add_antigen(6, Label.NORMAL)
-        assert list(comp._store) == [(5, Label.ATTACK), (6, Label.NORMAL)]
-        assert comp._store[0][1] is Label.ATTACK
-        with pytest.raises(ValueError, match="'bogus' is not a valid Label"):
-            comp.add_antigen(7, "bogus")
-        assert comp.antigen_added_total == 2
+        assert list(comp._store) == [11, 12, 13]
 
     @pytest.mark.parametrize("batches", [[5], [3, 0, 4], [12], [2, 9, 1]])
     def test_add_events_equals_add_antigen(self, batches):
         n = sum(batches)
         numbers = tuple(k % 11 for k in range(n))
-        labels = tuple(Label.ATTACK if k % 3 else Label.NORMAL for k in range(n))
         one_by_one = create_compartment(TissueParams(antigen_capacity=4), seed=1)
         batched = create_compartment(TissueParams(antigen_capacity=4), seed=1)
         start = 0
         for size in batches:
             end = start + size
-            for number, label in zip(numbers[start:end], labels[start:end]):
-                one_by_one.add_antigen(number, label)
-            batched.add_events(numbers[start:end], labels[start:end])
+            for number in numbers[start:end]:
+                one_by_one.add_antigen(number)
+            batched.add_events(numbers[start:end])
             start = end
             assert list(batched._store) == list(one_by_one._store)
             assert batched.antigen_added_total == one_by_one.antigen_added_total
@@ -142,10 +143,9 @@ class TestInputs:
         batched = create_compartment(TissueParams(antigen_capacity=4), seed=1)
         for size, draws, dropped in batches:
             numbers = tuple(range(size))
-            labels = (Label.NORMAL,) * size
             for number in numbers:
                 single.add_antigen(number)
-            batched.add_events(numbers, labels)
+            batched.add_events(numbers)
             for _ in range(draws):
                 assert single.draw_antigen() == batched.draw_antigen()
             assert single.antigen_dropped_total == batched.antigen_dropped_total == dropped
@@ -297,11 +297,11 @@ class TestRandomStream:
     @pytest.mark.parametrize("size", [1, 2, 3, 4, 8, 512, 1000])
     def test_draw_antigen_equals_randrange(self, size):
         comp = create_compartment(seed=size)
-        for value in range(size):
+        store = [value % SYSCALL_RANGE for value in range(size)]
+        for value in store:
             comp.add_antigen(value)
         expected = random.Random()
         expected.setstate(comp.rng.getstate())
-        store = [(value, Label.NORMAL) for value in range(size)]
         while store:
             assert comp.draw_antigen() == store.pop(expected.randrange(len(store)))
             assert comp.rng.getstate() == expected.getstate()

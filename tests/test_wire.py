@@ -44,6 +44,8 @@ from aisd.wire import (
     replay,
 )
 
+from invariant_checks import holds_numbers_only
+
 
 @pytest.fixture
 def compartment():
@@ -337,9 +339,9 @@ class TestServer:
         applied = []
         add_antigen, set_signal = compartment.add_antigen, compartment.set_signal
 
-        def recording_add(value, label):
-            applied.append((value, label))
-            add_antigen(value, label)
+        def recording_add(value):
+            applied.append(value)
+            add_antigen(value)
 
         def recording_set(name, level):
             applied.append((name, level))
@@ -360,14 +362,8 @@ class TestServer:
         finally:
             sock.close()
         assert wait_until(lambda: not server._sessions)
-        normal, attack = Label.NORMAL, Label.ATTACK
-        assert applied == [
-            (5, normal), (5, normal), ("cpu", 0.25), (5, attack), (7, attack),
-            ("cpu", 0.75), (5, normal),
-        ]
-        assert list(compartment._store) == [
-            (5, normal), (5, normal), (5, attack), (7, attack), (5, normal),
-        ]
+        assert applied == [5, 5, ("cpu", 0.25), 5, 7, ("cpu", 0.75), 5]
+        assert list(compartment._store) == [5, 5, 5, 7, 5]
         assert compartment.get_signal("cpu") == 0.75
         assert server.frames_rejected_total == 0
 
@@ -380,15 +376,33 @@ class TestServer:
             )
             sock.settimeout(5)
             assert sock.recv(64) == b""
-            assert list(compartment._store) == [(5, Label.NORMAL), (6, Label.ATTACK)]
+            assert list(compartment._store) == [5, 6]
             assert compartment.antigen_added_total == 2
             assert server.frames_rejected_total == 1
         finally:
             sock.close()
         assert "protocol error: duplicate HELLO" in caplog.text
 
+    def test_ground_truth_never_reaches_the_detector(self, server, compartment):
+        sock = client_socket(server)
+        try:
+            send_lines(sock, "HELLO 1 antigen", "ANTIGEN 5 attack", "ANTIGEN 6 normal",
+                       "ANTIGEN 7 attack", "BYE")
+            sock.settimeout(5)
+            assert sock.recv(64) == b""
+        finally:
+            sock.close()
+        assert wait_until(lambda: not server._sessions)
+        assert list(compartment._store) == [5, 6, 7]
+        for _ in range(3):  # the cycles present what the session stored
+            assert holds_numbers_only(compartment)
+            compartment.cycle()
+        assert holds_numbers_only(compartment)
+        assert compartment.twocell.live == 3
+
     @pytest.mark.parametrize(
-        "frame", ["SIGNAL cpu nan", "SIGNAL cpu inf", "SIGNAL cpu -inf", "ANTIGEN 512 normal"]
+        "frame", ["SIGNAL cpu nan", "SIGNAL cpu inf", "SIGNAL cpu -inf", "ANTIGEN 512 normal",
+                  "ANTIGEN 5 hostile"]
     )
     def test_out_of_range_frame_disconnects(self, server, compartment, frame):
         sock = client_socket(server)
@@ -415,7 +429,7 @@ class TestServer:
             assert sock.recv(64) == b""
             assert compartment.antigen_added_total == 2
             assert server.frames_rejected_total == 1
-            assert [value for value, _ in compartment._store] == [5, 6]
+            assert list(compartment._store) == [5, 6]
         finally:
             sock.close()
         assert wait_until(lambda: not server._sessions)
@@ -484,9 +498,9 @@ class TestServer:
         threads = []  # weak references to the thread each session ran in
         add_antigen = compartment.add_antigen
 
-        def recording_add(value, label):
+        def recording_add(value):
             threads.append(weakref.ref(threading.current_thread()))
-            add_antigen(value, label)
+            add_antigen(value)
 
         monkeypatch.setattr(compartment, "add_antigen", recording_add)
         # one connection at a time, each closed by the server after BYE
@@ -585,6 +599,16 @@ class TestServer:
     def test_port_out_of_range(self, compartment, port):
         with pytest.raises(ValueError, match=f"^port must be in 0..65535, got {port}$"):
             TissueServer(compartment, host="127.0.0.1", port=port)
+
+    @pytest.mark.parametrize("rate", [0, -1, math.nan, math.inf])
+    def test_bad_cycle_rate_rejected(self, compartment, monkeypatch, rate):
+        # a pacer at such a rate would spin without sleeping or die in its thread
+        created = record_sockets(monkeypatch)
+        threads = set(threading.enumerate())
+        with pytest.raises(ValueError, match="cycles_per_second must be finite and > 0"):
+            TissueServer(compartment, host="127.0.0.1", port=0, cycles_per_second=rate)
+        assert created == []
+        assert set(threading.enumerate()) <= threads  # no thread started
 
     def test_start_failure_closes_listener(self, monkeypatch):
         created = record_sockets(monkeypatch)
@@ -745,7 +769,7 @@ class TestFraming:
 
     def test_hello_and_antigen_in_one_read(self):
         server, _ = serve_pieces([b"HELLO 1 antigen\nANTIGEN 5 normal\nANTIGEN 6 attack\n"])
-        assert list(server.compartment._store) == [(5, Label.NORMAL), (6, Label.ATTACK)]
+        assert list(server.compartment._store) == [5, 6]
         assert server.frames_rejected_total == 0
 
     def test_frames_after_bye_in_one_read_ignored(self):
@@ -753,7 +777,7 @@ class TestFraming:
             b"HELLO 1 antigen\nANTIGEN 5 normal\nBYE\nANTIGEN 6 normal\nNONSENSE\nANTIGEN 7",
             b" normal\n",
         ])
-        assert list(server.compartment._store) == [(5, Label.NORMAL)]
+        assert list(server.compartment._store) == [5]
         assert server.frames_rejected_total == 0
         assert conn.unread == [b" normal\n"]
 

@@ -93,7 +93,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         pass
     finally:
         server.stop()
-        print(f"responses: {len(compartment.response_log)}")
+        print(f"responses: {compartment.responses_total}")
     return 0
 
 

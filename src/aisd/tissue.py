@@ -25,7 +25,10 @@ numbers only (an event's label is ground truth, for the evaluation alone):
 ``add_antigen`` adds one (a wire frame's), ``add_events`` a batch, such as an
 offline run's window of events between two cycles, in one locked
 ``deque.extend``.  Both count the antigen they add and the oldest antigen the
-bounded store drops to make room.
+bounded store drops to make room.  ``add_antigen`` runs once per wire frame,
+so it takes the lock with ``acquire``/``release`` in a ``try`` rather than a
+``with`` block, which costs more on an ``RLock``; every other method uses
+``with``.
 
 Run totals on the compartment: antigen added and dropped, signals set and
 clamped into [0, 1], idle cycles, Type 2 lock resets, and the antigen
@@ -121,12 +124,16 @@ class Compartment:
     def add_antigen(self, value: int) -> None:
         if not 0 <= value < SYSCALL_RANGE:
             raise ValueError(f"antigen value {value} outside [0, {SYSCALL_RANGE})")
-        with self._lock:
+        # once per wire frame: acquire/release cost less than a with block
+        self._lock.acquire()
+        try:
             store = self._store
-            if len(store) == store.maxlen:
+            if len(store) == self.params.antigen_capacity:
                 self.antigen_dropped_total += 1
             store.append(value)
             self.antigen_added_total += 1
+        finally:
+            self._lock.release()
 
     def add_events(self, numbers: Sequence[int]) -> None:
         """Add each syscall number as antigen, in order.

@@ -19,12 +19,14 @@ non-ASCII one or one cut off by the disconnect is a protocol error that
 closes the session, and the frames before it still apply.  Frames after a
 bad frame, or after ``BYE``, are ignored.
 
-``decode`` memoizes canonical ``ANTIGEN`` frames: a bytes line that equals
-``encode(message) + "\n"`` for the ``ANTIGEN`` message it parses to is kept
-with that message, and the next identical line is answered from the memo
-without a parse.  Only exact canonical spellings are stored, so the memo holds
-at most ``2 * SYSCALL_RANGE`` entries (one per syscall number and label)
-whatever clients send; any other line, and every str line, takes the parse.
+``decode`` memoizes canonical ``ANTIGEN`` frames as a server session splits
+them off a read, without the newline: a bytes line that equals
+``encode(message)`` for the ``ANTIGEN`` message it parses to is kept with that
+message, and the next identical line is answered from the memo without a
+parse.  Only exact canonical spellings are stored, so the memo holds at most
+``2 * SYSCALL_RANGE`` entries (one per syscall number and label) whatever
+clients send; any other line, the newline-terminated one included, and every
+str line takes the parse.
 
 ``TissueServer`` runs on ``socketserver.ThreadingTCPServer``, one thread per
 client.  A session's read loop handles every frame kind in one place: it adds
@@ -174,16 +176,16 @@ _ANTIGEN_FRAMES: dict[bytes, WireMessage] = {}
 def decode(line: str | bytes) -> WireMessage:
     """Parse one complete protocol line.
 
-    A bytes line that is a canonical ``ANTIGEN`` frame is parsed once and then
-    answered from the memo; str lines are never looked up, so a str is never
-    compared with the bytes keys.
+    A bytes line that is a canonical ``ANTIGEN`` frame as a session splits it,
+    with no newline, is parsed once and then answered from the memo; str
+    lines are never looked up, so a str is never compared with the bytes keys.
     """
     if not isinstance(line, bytes):
         return _parse(line)
     message = _ANTIGEN_FRAMES.get(line)
     if message is None:
         message = _parse(line)
-        if message.kind is MessageKind.ANTIGEN and line == f"{encode(message)}\n".encode("ascii"):
+        if message.kind is MessageKind.ANTIGEN and line == encode(message).encode("ascii"):
             _ANTIGEN_FRAMES[line] = message
     return message
 
@@ -287,7 +289,8 @@ class TissueServer:
     loop ends at once instead of at its next 0.2 s poll, then shuts the
     sessions down and joins their threads.  A session reads its socket in
     chunks of up to ``READ_BYTES`` and decodes the frames of each chunk one
-    by one in a single read loop: an ``ANTIGEN`` frame from an antigen-role
+    by one, as split and without their newline (the form ``decode``
+    memoizes), in a single read loop: an ``ANTIGEN`` frame from an antigen-role
     session goes straight to ``compartment.add_antigen`` (its number only:
     ``decode`` has checked its label), and every other frame is checked
     against the session's state there too.  If ``cycles_per_second`` is
@@ -395,7 +398,7 @@ class TissueServer:
                 for frame in frames:
                     if len(frame) >= MAX_FRAME_BYTES:
                         raise ProtocolError(f"frame longer than {MAX_FRAME_BYTES} bytes")
-                    message = decode(frame + b"\n")
+                    message = decode(frame)
                     kind = message.kind
                     if kind is antigen and adds_antigen:
                         self.compartment.add_antigen(message.number)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+import threading
 
 import pytest
 
@@ -154,6 +156,57 @@ class TestInputs:
         assert batched.antigen_added_total == (
             batched.antigen_dropped_total + 2 + batched.antigen_count()
         )
+
+    def test_counters_hold_under_concurrent_writers_and_cycles(self):
+        # two wire-session-like writers fill a small store while a pacer-like
+        # thread cycles it; a short switch interval forces interleaving
+        comp = create_compartment(TissueParams(antigen_capacity=8), seed=1)
+        attach_twocell(comp, TwocellParams())
+        adds_per_writer = 20_000
+        done = threading.Event()
+
+        def write(offset):
+            for k in range(adds_per_writer):
+                comp.add_antigen((offset + k) % SYSCALL_RANGE)
+
+        def cycle():
+            while not done.is_set():
+                comp.cycle()
+
+        writers = [threading.Thread(target=write, args=(n * 100,)) for n in range(2)]
+        cycler = threading.Thread(target=cycle)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            cycler.start()
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        cycler.join(timeout=60)
+        assert not cycler.is_alive()
+        assert not any(thread.is_alive() for thread in writers)
+        assert comp.antigen_added_total == 2 * adds_per_writer
+        assert comp.antigen_added_total == (
+            comp.antigen_dropped_total + comp.antigen_consumed_total + comp.antigen_count()
+        )
+        assert comp.cycle_count > 0
+
+        taken = []
+
+        def take_lock():
+            got = comp._lock.acquire(timeout=1)
+            taken.append(got)
+            if got:
+                comp._lock.release()
+
+        taker = threading.Thread(target=take_lock)
+        taker.start()
+        taker.join(timeout=5)
+        assert taken == [True]
 
 
 class TestPopulate:

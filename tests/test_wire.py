@@ -173,7 +173,8 @@ def empty_memo():
 
 
 # Hostile spellings of ANTIGEN frames: each parses (or fails) but is not the
-# canonical frame of what it parses to.
+# canonical frame of what it parses to. The str spelling of a canonical frame
+# is never stored either: memo keys are bytes as a session splits them.
 NON_CANONICAL = [
     b"ANTIGEN 07 normal\n",
     b"ANTIGEN +7 normal\n",
@@ -185,6 +186,7 @@ NON_CANONICAL = [
     b"ANTIGEN 7 normal\r\n",
     b"ANTIGEN\t7 normal\n",
     b"ANTIGEN 7 normal\n",
+    "ANTIGEN 7 normal",
     b"ANTIGEN \xd9\xa7 normal\n",
 ]
 

@@ -9,10 +9,15 @@ experiments deterministic per seed and much faster than realtime.
 ``offline_cycles`` is that rule's one implementation: it ingests by window,
 straight from the replay log's syscall-number column, and yields each
 cycle's report, so a caller that watches the tissue between cycles drives
-the same run as ``run_single_offline``.  Between windows it steps over idle
+the same run as ``run_single_offline``, and every tail cycle of it.  Between
+windows it steps over idle
 cycles with ``Compartment.idle_stretch`` (the same RNG stream draw for draw,
 on CPython with n1 + n2 <= 255; see ``twocell``); between the reports of one
 stretch the compartment already holds its state after the stretch.
+``run_single_offline`` stops draining it after the first cycle at which every
+event has been delivered, the store is empty and nothing is presented: no
+later cycle can present a key, so none can respond, and the response log is
+the full drain's.  Its run totals, such as ``cycle_count``, end at that stop.
 
 Output layout per experiment directory:
 
@@ -315,11 +320,24 @@ def run_single_offline(
     seed: int,
     tail_time: float = 60.0,
 ) -> list[ResponseRecord]:
-    """One deterministic offline run: ``offline_cycles`` to the end."""
+    """One deterministic offline run: ``offline_cycles`` until no later cycle
+    can respond.
+
+    A response needs a key that a Type 1 producer presents, and a key comes
+    only from antigen in the store, which an offline run fills only from the
+    log.  So after the first cycle at which every event has been delivered,
+    the store is empty and nothing is presented, no later cycle emits a
+    response, and the run stops there: its response log is the one a drain
+    of ``offline_cycles`` to the end gives.
+    """
     compartment = create_compartment(tissue_params, seed)
     attach_twocell(compartment, twocell_params)
+    state = compartment.twocell
+    n_events = len(log.event_times)
     for _ in offline_cycles(log, compartment, tail_time):
-        pass
+        if (compartment.antigen_added_total == n_events and not state.live
+                and not compartment.antigen_count()):
+            break
     return compartment.response_log
 
 

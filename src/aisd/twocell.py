@@ -141,8 +141,8 @@ def type1_cycle(cell: int, compartment: Compartment, params: TwocellParams) -> N
             if not remaining:
                 keys[j] = None  # presented antigen destroyed
                 state.live -= 1
-    if not compartment._store:
-        return  # draw_antigen would return None without drawing
+    if not compartment._store or None not in keys:
+        return  # no draw: an empty store, or no free producer to present on
 
     # the period is read once per cycle, and only if something is presented
     period = 0

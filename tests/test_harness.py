@@ -8,6 +8,8 @@ from itertools import repeat
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aisd.harness
 from aisd.harness import (
@@ -19,7 +21,7 @@ from aisd.harness import (
     run_single_offline,
     run_single_realtime,
 )
-from aisd.scenarios import ScenarioKind
+from aisd.scenarios import BUNDLED_PROFILES, ScenarioKind
 from aisd.tissue import Compartment, TissueParams, create_compartment
 from aisd.trace_model import Label, SignalSample, SyscallEvent, merge_to_replay_log
 from aisd.twocell import TwocellParams, attach_twocell
@@ -608,7 +610,7 @@ def per_event_feed(log, tissue_params, twocell_params, seed, tail_time):
     records.sort(key=lambda record: record[:2])
     idx = 0
     snapshots = []
-    total_cycles = int(math.floor(log.duration * cps)) + 1 + int(round(tail_time * cps))
+    total_cycles = last_cycle(log, tissue_params, tail_time)
     while compartment.cycle_count < total_cycles or idx < len(records):
         horizon = (compartment.cycle_count + 1) / cps
         while idx < len(records) and records[idx][0] < horizon:
@@ -641,10 +643,12 @@ def window_edge_log():
 
 
 @pytest.mark.parametrize("source", ["edges", "success1"])
-def test_window_ingest_matches_per_event_feed(bundled_logs, monkeypatch, source):
-    """Each cycle that runs through cycle() sees the store, signal level and
-    totals the per-event reference feed gives it; every other cycle is
-    stepped as idle, and the reference store is empty at each of those."""
+def test_window_ingest_matches_per_event_feed(bundled_logs, source):
+    """Each cycle that offline_cycles runs through cycle() sees the store,
+    signal level and totals the per-event reference feed gives it; every
+    other cycle is stepped as idle, and the reference store is empty at each
+    of those.  run_single_offline, which may stop before the last cycle,
+    returns the same response log."""
     log = window_edge_log() if source == "edges" else bundled_logs[source]
     tissue = TissueParams(antigen_capacity=32)
     seen = []
@@ -670,11 +674,15 @@ def test_window_ingest_matches_per_event_feed(bundled_logs, monkeypatch, source)
         seen.append((compartment, snapshots, stepped))
         return compartment
 
-    monkeypatch.setattr(aisd.harness, "create_compartment", recording_compartment)
-    responses = run_single_offline(log, tissue, TwocellParams(), seed=3, tail_time=2.0)
+    driven = recording_compartment(tissue, 3)
+    attach_twocell(driven, TwocellParams())
+    for _ in aisd.harness.offline_cycles(log, driven, tail_time=2.0):
+        pass
+    responses = driven.response_log
     reference, expected = per_event_feed(log, tissue, TwocellParams(), 3, tail_time=2.0)
     (compartment, snapshots, stepped), = seen
     assert responses == reference.response_log
+    assert run_single_offline(log, tissue, TwocellParams(), seed=3, tail_time=2.0) == responses
     assert sorted([*snapshots, *stepped]) == list(range(1, len(expected) + 1))
     for number, observed in snapshots.items():
         assert observed == expected[number - 1]
@@ -759,3 +767,102 @@ def test_first_due_is_the_loops_own_test():
                 while not at < (count + 1) / cps:
                     count += 1
                 assert aisd.harness._first_due(at, first, cps) == count
+
+
+# ---------------------------------------------------------------------------
+# run_single_offline's stop rule
+# ---------------------------------------------------------------------------
+
+def drained(log, tissue_params, twocell_params, seed, tail_time):
+    """A fresh compartment after offline_cycles has run to its last cycle."""
+    compartment = create_compartment(tissue_params, seed)
+    attach_twocell(compartment, twocell_params)
+    for _ in aisd.harness.offline_cycles(log, compartment, tail_time):
+        pass
+    return compartment
+
+
+def capture_compartments(monkeypatch) -> list:
+    """Patch the harness to keep each compartment it creates, in order."""
+    made = []
+
+    def capturing(params, seed):
+        made.append(create_compartment(params, seed))
+        return made[-1]
+    monkeypatch.setattr(aisd.harness, "create_compartment", capturing)
+    return made
+
+
+def last_cycle(log, tissue_params, tail_time) -> int:
+    """The number of the last cycle that offline_cycles runs."""
+    cps = tissue_params.cycles_per_second
+    return int(math.floor(log.duration * cps)) + 1 + int(round(tail_time * cps))
+
+
+@pytest.mark.parametrize("source", sorted(BUNDLED_PROFILES))
+def test_stop_keeps_the_full_drains_responses(bundled_logs, monkeypatch, source):
+    """On every bundled log, run_single_offline returns the response log of
+    draining offline_cycles to the end, and never runs more cycles."""
+    log = bundled_logs[source]
+    made = capture_compartments(monkeypatch)
+    early = 0
+    for seed in (0, 1, 2):
+        for tail_time in (2.0, 30.0, 60.0):
+            responses = run_single_offline(log, FAST_TISSUE, FAST_TWOCELL, seed, tail_time)
+            full = drained(log, FAST_TISSUE, FAST_TWOCELL, seed, tail_time)
+            assert responses == full.response_log
+            assert made[-1].cycle_count <= full.cycle_count
+            early += made[-1].cycle_count < full.cycle_count
+    assert early  # a 60 s tail outlasts every log's last presentation
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    source=st.sampled_from(sorted(BUNDLED_PROFILES)),
+    seed=st.integers(min_value=0, max_value=2**16),
+    lifespan=st.integers(min_value=1, max_value=5),
+    presentation=st.tuples(st.integers(1, 5), st.integers(1, 5)).map(sorted),
+    capacity=st.integers(min_value=1, max_value=8),
+    n_type1=st.integers(min_value=1, max_value=4),
+    n_type2=st.integers(min_value=1, max_value=6),
+    tail_time=st.sampled_from([0.0, 0.5, 3.0, 10.0]),
+    cps=st.sampled_from([10.0, 3.3]),
+)
+def test_stop_matches_full_drain_property(bundled_logs, source, seed, lifespan, presentation,
+                                          capacity, n_type1, n_type2, tail_time, cps):
+    log = bundled_logs[source]
+    tissue = TissueParams(antigen_capacity=capacity, cycles_per_second=cps)
+    twocell = TwocellParams(n_type1=n_type1, n_type2=n_type2, cell_lifespan=lifespan,
+                            min_presentation=presentation[0],
+                            max_presentation=presentation[1])
+    full = drained(log, tissue, twocell, seed, tail_time)
+    assert run_single_offline(log, tissue, twocell, seed, tail_time) == full.response_log
+
+
+def test_stop_ends_quiescent_before_the_last_cycle(bundled_logs, monkeypatch):
+    """On normal1 with a 30 s tail the run ends quiescent, with every event
+    delivered, before the last tail cycle."""
+    log = bundled_logs["normal1"]
+    made = capture_compartments(monkeypatch)
+    run_single_offline(log, FAST_TISSUE, FAST_TWOCELL, seed=1, tail_time=30.0)
+    (compartment,) = made
+    assert compartment.antigen_added_total == len(log.event_times)
+    assert not compartment.antigen_count() and not compartment.twocell.live
+    assert compartment.cycle_count < last_cycle(log, FAST_TISSUE, 30.0)
+
+
+def flood_log():
+    """400 events in the first 0.4 s at full CPU: the producers present for
+    50 cycles, so a 5 s tail ends with most of the store still held."""
+    events = [SyscallEvent(0.001 * k, k % 40) for k in range(400)]
+    return merge_to_replay_log(events, [SignalSample(0.0, "cpu", 1.0)], "flood")
+
+
+def test_stop_runs_every_cycle_while_the_store_holds_antigen(monkeypatch):
+    log = flood_log()
+    made = capture_compartments(monkeypatch)
+    responses = run_single_offline(log, FAST_TISSUE, FAST_TWOCELL, seed=2, tail_time=5.0)
+    (compartment,) = made
+    assert compartment.antigen_count() > 0
+    assert compartment.cycle_count == last_cycle(log, FAST_TISSUE, 5.0)
+    assert responses == drained(log, FAST_TISSUE, FAST_TWOCELL, 2, 5.0).response_log

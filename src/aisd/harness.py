@@ -7,17 +7,17 @@ the same records straight into a fresh compartment with a fixed
 records-to-cycles rule (no sockets, no pacing), which makes whole
 experiments deterministic per seed and much faster than realtime.
 ``offline_cycles`` is that rule's one implementation: it ingests by window,
-straight from the replay log's syscall-number column, and yields each
-cycle's report, so a caller that watches the tissue between cycles drives
-the same run as ``run_single_offline``, and every tail cycle of it.  Between
-windows it steps over idle
-cycles with ``Compartment.idle_stretch`` (the same RNG stream draw for draw,
-on CPython with n1 + n2 <= 255; see ``twocell``); between the reports of one
-stretch the compartment already holds its state after the stretch.
-``run_single_offline`` stops draining it after the first cycle at which every
-event has been delivered, the store is empty and nothing is presented: no
-later cycle can present a key, so none can respond, and the response log is
-the full drain's.  Its run totals, such as ``cycle_count``, end at that stop.
+straight from the replay log's syscall-number column, and yields once per
+step, so a caller that watches the tissue between steps drives the same run
+as ``run_single_offline``, and every tail cycle of it.  A step is one
+``Compartment.cycle()`` or one stretch of idle cycles that
+``Compartment.idle_stretch`` steps between windows (the same RNG stream draw
+for draw, on CPython with n1 + n2 <= 255; see ``twocell``).
+``run_single_offline`` stops draining it after the first step at whose end
+every event has been delivered, the store is empty and nothing is presented:
+no later cycle can present a key, so none can respond, and the response log
+is the full drain's.  Its run totals, such as ``cycle_count``, end at that
+stop.
 
 Output layout per experiment directory:
 
@@ -31,7 +31,6 @@ import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
-from itertools import repeat
 from pathlib import Path
 from typing import Iterator, Mapping
 
@@ -51,7 +50,6 @@ from .policy import (
 from .scenarios import ScenarioKind
 from .tissue import (
     Compartment,
-    CycleReport,
     ResponseRecord,
     TissueParams,
     create_compartment,
@@ -240,8 +238,8 @@ class ExperimentResult:
 
 def offline_cycles(
     log: ReplayLog, compartment: Compartment, tail_time: float
-) -> Iterator[CycleReport]:
-    """Cycle a fresh compartment through the log, yielding each cycle's report.
+) -> Iterator[None]:
+    """Cycle a fresh compartment through the log, yielding after each step.
 
     All records with timestamp < k / cycles_per_second are delivered before
     cycle k; after the last record the compartment keeps cycling for the
@@ -250,12 +248,12 @@ def offline_cycles(
     store as one ``add_antigen`` per event would.
 
     After each window, the cycles before which no event is due are offered
-    to ``Compartment.idle_stretch``; the cycles it steps yield one shared
-    ``CycleReport(0, 0)`` each, and the signals due inside the stretch are
-    set before them, since no idle cycle reads a signal.  Between the
-    reports of one stretch the compartment already holds its state after
-    the stretch.  Every other cycle runs through ``Compartment.cycle``,
-    an idle cycle in which a reset falls due included.
+    to ``Compartment.idle_stretch``, and the signals due inside a stretch it
+    steps are set after it, since no idle cycle reads a signal.  Every other
+    cycle runs through ``Compartment.cycle``, an idle cycle in which a reset
+    falls due included.  A step is one such cycle or one whole stretch; at
+    each yield the compartment is where running every cycle through
+    ``cycle()`` leaves it after ``cycle_count`` cycles.
     """
     check_finite("tail_time", tail_time)
     cps = compartment.params.cycles_per_second
@@ -277,17 +275,12 @@ def offline_cycles(
             stop = _first_due(event_times[e], count + 1, cps)
         else:
             stop = max(count + 1, total_cycles)
-        stepped = compartment.idle_stretch(stop - count)
-        if not stepped:
-            yield compartment.cycle()
-            continue
-        # the windows of the stepped cycles after the first
-        s = _set_signals(compartment, log, s, (count + stepped) / cps)
-        yield from repeat(_IDLE_REPORT, stepped)
-
-
-# the report of every cycle that Compartment.idle_stretch steps
-_IDLE_REPORT = CycleReport(0, 0)
+        if compartment.idle_stretch(stop - count):
+            # the windows of the stepped cycles after the first
+            s = _set_signals(compartment, log, s, compartment.cycle_count / cps)
+        else:
+            compartment.cycle()
+        yield
 
 
 def _set_signals(compartment: Compartment, log: ReplayLog, s: int, horizon: float) -> int:

@@ -41,7 +41,6 @@ ATTACK_NOVEL_SYSCALLS: tuple[int, ...] = (
     11, 15, 23, 46, 60, 85, 95, 114, 120, 183, 303, 305,
 )
 
-CPU_SAMPLE_INTERVAL = 0.1
 CPU_BASELINE = 0.02
 CPU_DECAY_SECONDS = 2.0
 
@@ -227,6 +226,7 @@ def synthesize_scenario(profile: ScenarioProfile) -> ReplayLog:
         add_normal_burst(profile.duration - 1, profile.shutdown_burst, cover_vocabulary=False)
 
     cpu_bursts.sort()
+    # one CPU sample every 0.1 s, stamped k / 10.0: k * 0.1 gives other floats
     signal_times = tuple(k / 10.0 for k in range(1, profile.duration * 10 + 1))
     return ReplayLog(
         profile.name,

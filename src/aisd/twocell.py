@@ -34,9 +34,7 @@ n1 + n2 <= 255 every idle draw takes at most 8 bits, so whether it is
 accepted depends only on its word's top byte: one bytes regex match runs a
 cycle's shuffle and ``bytes.count`` counts its bind accepts.  A population
 with n1 + n2 > 255 has no kernel, and its idle cycles run through
-``run_cells``.  The stretch is stepped all at once, so between the per-cycle
-reports a driver yields for it, the population already holds its state after
-the stretch.
+``run_cells``.
 """
 from __future__ import annotations
 

@@ -559,10 +559,21 @@ def test_idle_cycle_and_reset_totals(bundled_logs):
 
 def test_consumed_and_response_totals(bundled_logs):
     """The compartment's consumed-antigen and response totals are the sums
-    of the cycle reports of an offline run."""
+    of the reports of the cycle() calls of an offline run; a stepped idle
+    stretch consumes nothing and responds to nothing."""
     compartment = create_compartment(FAST_TISSUE, 3)
     attach_twocell(compartment, FAST_TWOCELL)
-    reports = list(aisd.harness.offline_cycles(bundled_logs["success1"], compartment, 10.0))
+    cycle = compartment.cycle
+    reports = []
+
+    def recording_cycle():
+        reports.append(cycle())
+        return reports[-1]
+
+    compartment.cycle = recording_cycle
+    for _ in aisd.harness.offline_cycles(bundled_logs["success1"], compartment, 10.0):
+        pass
+    assert len(reports) < compartment.cycle_count  # idle stretches were stepped
     consumed = sum(report.antigen_consumed for report in reports)
     responses = sum(report.responses_emitted for report in reports)
     assert compartment.antigen_consumed_total == consumed > 0
@@ -697,47 +708,110 @@ def test_window_ingest_matches_per_event_feed(bundled_logs, source):
         assert [level for _, level, *_ in expected[:6]] == [0.9, 0.9, 0.1, 0.1, 0.1, 1.0]
 
 
-def drive(log, seed, tail_time, cps):
-    """Drive offline_cycles to the end on a fresh compartment; returns it,
-    the reports yielded and, by cycle count, the signal level and signals
-    set seen at the reports."""
+def driven_state(compartment) -> dict:
+    """What an offline run moves: the cycle count, store, signal level,
+    population, RNG, run totals and response log."""
+    state = compartment.twocell
+    return {
+        "cycle_count": compartment.cycle_count,
+        "store": tuple(compartment._store),
+        "cpu": compartment.get_signal("cpu"),
+        "population": (tuple(map(tuple, state.keys)), tuple(map(tuple, state.timers)),
+                       tuple(map(tuple, state.locks)), tuple(state.matches),
+                       tuple(state.ages), state.live),
+        "rng": compartment.rng.getstate(),
+        "totals": {name: value for name, value in vars(compartment).items()
+                   if name.endswith("_total")},
+        "responses": tuple(compartment.response_log),
+    }
+
+
+def stepped_run(log, seed, tail_time, cps):
+    """Drive offline_cycles to the end on a fresh compartment; returns the
+    driven_state at each yield, the number of cycle() calls and the number
+    of idle_stretch calls that stepped a cycle or more."""
     compartment = create_compartment(TissueParams(cycles_per_second=cps), seed)
     attach_twocell(compartment, FAST_TWOCELL)
-    reports, seen = [], {}
-    for report in aisd.harness.offline_cycles(log, compartment, tail_time):
-        reports.append(report)
-        seen[compartment.cycle_count] = (compartment.get_signal("cpu"),
-                                         compartment.signals_set_total)
-    return compartment, reports, seen
+    cycle, stretch = compartment.cycle, compartment.idle_stretch
+    calls = {"cycle": 0, "stretch": 0}
+
+    def counting_cycle():
+        calls["cycle"] += 1
+        return cycle()
+
+    def counting_stretch(limit):
+        stepped = stretch(limit)
+        calls["stretch"] += stepped > 0
+        return stepped
+
+    compartment.cycle, compartment.idle_stretch = counting_cycle, counting_stretch
+    states = [driven_state(compartment)
+              for _ in aisd.harness.offline_cycles(log, compartment, tail_time)]
+    return states, calls["cycle"], calls["stretch"]
 
 
-def driven_state(compartment, reports) -> tuple:
-    totals = {name: value for name, value in vars(compartment).items()
-              if name.endswith("_total")}
-    return (compartment.response_log, compartment.rng.getstate(), compartment.cycle_count,
-            totals, compartment.get_signal("cpu"), reports)
+OFFLINE_SOURCES = ["normal1", "normal2", "success1", "success2", "failure1", "failure2", "edges"]
 
 
-@pytest.mark.parametrize("source", ["normal1", "normal2", "success1", "success2",
-                                    "failure1", "failure2", "edges"])
-def test_stepping_matches_cycle_by_cycle(bundled_logs, monkeypatch, source):
-    """offline_cycles leaves the compartment and yields the reports that it
-    does with every cycle run through cycle()."""
-    log = window_edge_log() if source == "edges" else bundled_logs[source]
-    idle = 0
-    # 3.3: a cycle rate whose windows fall off the records' decimal grid
+def stepped_and_reference_runs(log, monkeypatch):
+    """stepped_run of the log, then the same run with every cycle run
+    through cycle(), at a decimal cycle rate and at 3.3, whose windows fall
+    off the records' decimal grid; yields (seed, tail_time, cps, run,
+    reference) per setting."""
     for seed, tail_time, cps in ((1, 30.0, 10.0), (2, 7.0, 3.3)):
-        compartment, reports, seen = drive(log, seed, tail_time, cps)
+        run = stepped_run(log, seed, tail_time, cps)
         with monkeypatch.context() as m:
             m.setattr(Compartment, "idle_stretch", lambda self, limit: 0)
-            ref, ref_reports, ref_seen = drive(log, seed, tail_time, cps)
-        assert driven_state(compartment, reports) == driven_state(ref, ref_reports)
-        # at a stretch's reports the compartment is already at the stretch's end
-        for count, signals in seen.items():
-            assert ref_seen[count] == signals
-        assert len(reports) == compartment.cycle_count
-        idle += compartment.idle_cycles_total
-    assert idle or source == "edges"  # the edge log has no idle cycle
+            reference = stepped_run(log, seed, tail_time, cps)
+        yield seed, tail_time, cps, run, reference
+
+
+@pytest.mark.parametrize("source", OFFLINE_SOURCES)
+def test_stepping_matches_cycle_by_cycle(bundled_logs, monkeypatch, source):
+    """offline_cycles leaves the compartment as it does with every cycle run
+    through cycle(), and at each yield the signal level and signals set are
+    the ones that run has at the same cycle count."""
+    log = window_edge_log() if source == "edges" else bundled_logs[source]
+    idle = 0
+    for *_, (states, _, _), (reference, _, _) in stepped_and_reference_runs(log, monkeypatch):
+        assert states[-1] == reference[-1]
+        ref_seen = {ref["cycle_count"]: (ref["cpu"], ref["totals"]["signals_set_total"])
+                    for ref in reference}
+        for state in states:
+            signals = (state["cpu"], state["totals"]["signals_set_total"])
+            assert ref_seen[state["cycle_count"]] == signals
+        idle += states[-1]["totals"]["idle_cycles_total"]
+    assert idle  # every log, the edge log too, idles in the 30 s tail
+
+
+@pytest.mark.parametrize("source", OFFLINE_SOURCES)
+def test_offline_cycles_yields_once_per_step(bundled_logs, monkeypatch, source):
+    """offline_cycles yields once per cycle() call and once per stretch that
+    idle_stretch steps.  At each yield the compartment is where running
+    every cycle through cycle() leaves it after cycle_count cycles, and
+    run_single_offline stops at the first such count at which every event
+    has been delivered and nothing is stored or presented."""
+    log = window_edge_log() if source == "edges" else bundled_logs[source]
+    made = capture_compartments(monkeypatch)
+    stretches_seen = 0
+    for seed, tail_time, cps, run, ref_run in stepped_and_reference_runs(log, monkeypatch):
+        (states, cycles, stretches), (reference, ref_cycles, ref_stretches) = run, ref_run
+        assert ref_stretches == 0
+        assert [ref["cycle_count"] for ref in reference] == list(range(1, ref_cycles + 1))
+        assert len(states) == cycles + stretches
+        if states[-1]["totals"]["idle_cycles_total"]:
+            assert len(states) < states[-1]["cycle_count"]
+        for state in states:
+            assert state == reference[state["cycle_count"] - 1]
+        stretches_seen += stretches
+
+        quiescent = [ref["cycle_count"] for ref in reference
+                     if ref["totals"]["antigen_added_total"] == len(log.event_times)
+                     and not ref["store"] and not ref["population"][-1]]
+        run_single_offline(log, TissueParams(cycles_per_second=cps), FAST_TWOCELL,
+                           seed, tail_time)
+        assert made[-1].cycle_count == (quiescent or [ref_cycles])[0]
+    assert stretches_seen
 
 
 @pytest.mark.parametrize("tail_time", [-5.0, math.nan, math.inf])

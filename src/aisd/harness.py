@@ -251,9 +251,10 @@ def offline_cycles(
     to ``Compartment.idle_stretch``, and the signals due inside a stretch it
     steps are set after it, since no idle cycle reads a signal.  Every other
     cycle runs through ``Compartment.cycle``, an idle cycle in which a reset
-    falls due included.  A step is one such cycle or one whole stretch; at
-    each yield the compartment is where running every cycle through
-    ``cycle()`` leaves it after ``cycle_count`` cycles.
+    falls due included, and so does the first: a caller that stops at the
+    first yield has run cycle 1 alone.  A step is one such cycle or one whole
+    stretch; at each yield the compartment is where running every cycle
+    through ``cycle()`` leaves it after ``cycle_count`` cycles.
     """
     check_finite("tail_time", tail_time)
     cps = compartment.params.cycles_per_second
@@ -275,7 +276,7 @@ def offline_cycles(
             stop = _first_due(event_times[e], count + 1, cps)
         else:
             stop = max(count + 1, total_cycles)
-        if compartment.idle_stretch(stop - count):
+        if count and compartment.idle_stretch(stop - count):
             # the windows of the stepped cycles after the first
             s = _set_signals(compartment, log, s, compartment.cycle_count / cps)
         else:

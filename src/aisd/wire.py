@@ -19,14 +19,15 @@ non-ASCII one or one cut off by the disconnect is a protocol error that
 closes the session, and the frames before it still apply.  Frames after a
 bad frame, or after ``BYE``, are ignored.
 
-``decode`` memoizes canonical ``ANTIGEN`` frames as a server session splits
-them off a read, without the newline: a bytes line that equals
-``encode(message)`` for the ``ANTIGEN`` message it parses to is kept with that
-message, and the next identical line is answered from the memo without a
-parse.  Only exact canonical spellings are stored, so the memo holds at most
-``2 * SYSCALL_RANGE`` entries (one per syscall number and label) whatever
-clients send; any other line, the newline-terminated one included, and every
-str line takes the parse.
+``WireMessage`` is a frozen slots dataclass with a hand-written
+``__init__`` that sets each slot through its descriptor.  The
+``2 * SYSCALL_RANGE`` ``ANTIGEN`` messages, one per syscall number and label,
+are built once at import and shared: ``WireMessage.antigen`` returns them.
+``decode`` answers a bytes line that is the canonical frame of one of them, as
+a server session splits it off a read without the newline, from a fixed table
+of those frames, built with the messages and never written after; any other
+line, the newline-terminated one included, and every str line takes the
+parse.
 
 ``TissueServer`` runs on ``socketserver.ThreadingTCPServer``, one thread per
 client.  A session's read loop handles every frame kind in one place: it adds
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .tissue import Compartment, ResponseRecord
-from .trace_model import LABELS, SYSCALL_RANGE, Label, ReplayLog, check_finite
+from .trace_model import LABEL_TEXT, LABELS, SYSCALL_RANGE, Label, ReplayLog, check_finite
 
 logger = logging.getLogger(__name__)
 
@@ -92,8 +93,12 @@ def default_port() -> int:
     return port
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class WireMessage:
+    """One protocol message; the fields its kind does not use are left at
+    their defaults.  Frozen, since ``antigen`` hands the same instance to
+    every caller and every session thread."""
+
     kind: MessageKind
     version: int | None = None
     roles: tuple[str, ...] = ()
@@ -104,25 +109,70 @@ class WireMessage:
     cell_id: int | None = None
     timestamp: float | None = None
 
+    # Hand-written as trace_model.SyscallEvent's is: each slot set through its
+    # descriptor, which costs less than the generated frozen __init__'s
+    # object.__setattr__ per field.
+    def __init__(
+        self,
+        kind: MessageKind,
+        version: int | None = None,
+        roles: tuple[str, ...] = (),
+        number: int | None = None,
+        label: Label | None = None,
+        name: str | None = None,
+        value: float | None = None,
+        cell_id: int | None = None,
+        timestamp: float | None = None,
+    ):
+        (set_kind, set_version, set_roles, set_number, set_label,
+         set_name, set_value, set_cell_id, set_timestamp) = _MESSAGE_SLOTS
+        set_kind(self, kind)
+        set_version(self, version)
+        set_roles(self, roles)
+        set_number(self, number)
+        set_label(self, label)
+        set_name(self, name)
+        set_value(self, value)
+        set_cell_id(self, cell_id)
+        set_timestamp(self, timestamp)
+
     @classmethod
     def hello(cls, roles: Iterable[str], version: int = PROTOCOL_VERSION) -> WireMessage:
-        return cls(MessageKind.HELLO, version=version, roles=tuple(roles))
+        return cls(_HELLO, version, tuple(roles))
 
     @classmethod
     def antigen(cls, number: int, label: Label = Label.NORMAL) -> WireMessage:
-        return cls(MessageKind.ANTIGEN, number=number, label=label)
+        """The interned message for an int ``number`` in ``[0, SYSCALL_RANGE)``
+        and a ``Label``; a fresh one for anything else."""
+        if type(label) is Label and type(number) is int and 0 <= number < SYSCALL_RANGE:
+            return _ANTIGENS[label][number]
+        return cls(_ANTIGEN, None, (), number, label)
 
     @classmethod
     def signal(cls, name: str, value: float) -> WireMessage:
-        return cls(MessageKind.SIGNAL, name=name, value=value)
+        return cls(_SIGNAL, None, (), None, None, name, value)
 
     @classmethod
     def response(cls, number: int, cell_id: int, timestamp: float) -> WireMessage:
-        return cls(MessageKind.RESPONSE, number=number, cell_id=cell_id, timestamp=timestamp)
+        return cls(_RESPONSE, None, (), number, None, None, None, cell_id, timestamp)
 
     @classmethod
     def bye(cls) -> WireMessage:
-        return cls(MessageKind.BYE)
+        return cls(_BYE)
+
+
+# each field's slot descriptor setter, in field order; it stores the value
+# where the frozen __setattr__ would refuse
+_MESSAGE_SLOTS = tuple(getattr(WireMessage, f).__set__ for f in WireMessage.__slots__)
+
+_HELLO, _ANTIGEN, _SIGNAL = MessageKind.HELLO, MessageKind.ANTIGEN, MessageKind.SIGNAL
+_RESPONSE, _BYE = MessageKind.RESPONSE, MessageKind.BYE
+
+# label -> the ANTIGEN message of each syscall number, built once and shared
+_ANTIGENS = {
+    label: tuple(WireMessage(_ANTIGEN, None, (), number, label) for number in range(SYSCALL_RANGE))
+    for label in Label
+}
 
 
 def encode(message: WireMessage) -> str:
@@ -131,15 +181,15 @@ def encode(message: WireMessage) -> str:
     Floats use repr() so decode(encode(m)) == m exactly.
     """
     kind = message.kind
-    if kind is MessageKind.HELLO:
+    if kind is _ANTIGEN:
+        return f"ANTIGEN {message.number} {LABEL_TEXT[message.label]}"
+    if kind is _HELLO:
         return f"HELLO {message.version} {','.join(message.roles)}"
-    if kind is MessageKind.ANTIGEN:
-        return f"ANTIGEN {message.number} {message.label.value}"
-    if kind is MessageKind.SIGNAL:
+    if kind is _SIGNAL:
         return f"SIGNAL {message.name} {message.value!r}"
-    if kind is MessageKind.RESPONSE:
+    if kind is _RESPONSE:
         return f"RESPONSE {message.number} {message.cell_id} {message.timestamp!r}"
-    if kind is MessageKind.BYE:
+    if kind is _BYE:
         return "BYE"
     raise ProtocolError(f"cannot encode message kind {kind!r}")
 
@@ -168,26 +218,26 @@ def _float_field(kind: str, index: int, name: str, token: str) -> float:
     return value
 
 
-# Canonical ANTIGEN frame -> its parse; see the module docstring for the bound.
-# Sessions share it: a racing insert stores an equal message under the same key.
-_ANTIGEN_FRAMES: dict[bytes, WireMessage] = {}
+# Canonical ANTIGEN frame, as a session splits it off a read, -> its interned
+# message.  Fixed at import: decode only reads it, so sessions share it freely.
+_ANTIGEN_FRAMES: dict[bytes, WireMessage] = {
+    encode(message).encode("ascii"): message for row in _ANTIGENS.values() for message in row
+}
 
 
 def decode(line: str | bytes) -> WireMessage:
     """Parse one complete protocol line.
 
     A bytes line that is a canonical ``ANTIGEN`` frame as a session splits it,
-    with no newline, is parsed once and then answered from the memo; str
-    lines are never looked up, so a str is never compared with the bytes keys.
+    with no newline, is answered from the fixed frame table without a parse;
+    every other line, and every str line, takes the parse.  A str is never
+    looked up, so it is never compared with the bytes keys.
     """
-    if not isinstance(line, bytes):
-        return _parse(line)
-    message = _ANTIGEN_FRAMES.get(line)
-    if message is None:
-        message = _parse(line)
-        if message.kind is MessageKind.ANTIGEN and line == encode(message).encode("ascii"):
-            _ANTIGEN_FRAMES[line] = message
-    return message
+    if isinstance(line, bytes):
+        message = _ANTIGEN_FRAMES.get(line)
+        if message is not None:
+            return message
+    return _parse(line)
 
 
 def _parse(line: str | bytes) -> WireMessage:
@@ -289,11 +339,11 @@ class TissueServer:
     loop ends at once instead of at its next 0.2 s poll, then shuts the
     sessions down and joins their threads.  A session reads its socket in
     chunks of up to ``READ_BYTES`` and decodes the frames of each chunk one
-    by one, as split and without their newline (the form ``decode``
-    memoizes), in a single read loop: an ``ANTIGEN`` frame from an antigen-role
-    session goes straight to ``compartment.add_antigen`` (its number only:
-    ``decode`` has checked its label), and every other frame is checked
-    against the session's state there too.  If ``cycles_per_second`` is
+    by one, as split and without their newline (the form ``decode`` finds
+    in its frame table), in a single read loop: an ``ANTIGEN`` frame from an
+    antigen-role session goes straight to ``compartment.add_antigen`` (its
+    number only: ``decode`` has checked its label), and every other frame is
+    checked against the session's state there too.  If ``cycles_per_second`` is
     given (finite and > 0), a pacer thread cycles the compartment while the
     server runs; when a cycle overruns, the pacer does not catch up, and
     counts the whole intervals it missed in ``cycles_skipped_total``.

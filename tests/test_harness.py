@@ -940,3 +940,21 @@ def test_stop_runs_every_cycle_while_the_store_holds_antigen(monkeypatch):
     assert compartment.antigen_count() > 0
     assert compartment.cycle_count == last_cycle(log, FAST_TISSUE, 5.0)
     assert responses == drained(log, FAST_TISSUE, FAST_TWOCELL, 2, 5.0).response_log
+
+
+def test_stop_after_cycle_1_on_an_event_free_log(monkeypatch):
+    """With no event to deliver, the run is quiescent before cycle 1, so the
+    stop rule names cycle 1, not the end of the first idle stretch; the
+    compartment is where cycle() alone leaves it after that cycle."""
+    samples = [SignalSample(0.0, "cpu", 0.2), SignalSample(4.0, "cpu", 0.8)]
+    log = merge_to_replay_log([], samples, "quiet")
+    made = capture_compartments(monkeypatch)
+    assert run_single_offline(log, TissueParams(), TwocellParams(), seed=1, tail_time=30.0) == []
+    (compartment,) = made
+    assert compartment.cycle_count == 1
+    with monkeypatch.context() as m:
+        m.setattr(Compartment, "idle_stretch", lambda self, limit: 0)
+        reference = create_compartment(TissueParams(), 1)
+        attach_twocell(reference, TwocellParams())
+        next(aisd.harness.offline_cycles(log, reference, 30.0))
+    assert driven_state(compartment) == driven_state(reference)

@@ -195,6 +195,33 @@ def test_stats_match_brute_force(event_times):
         assert stats.total_time == int(math.ceil(max(event_times)))
 
 
+# whole seconds near 0, so many events share a window, or far apart, so
+# windows are many seconds apart; a fraction of 0 puts a time exactly on
+# the second, one just below 1 puts it at the window's end
+second_times = st.lists(
+    st.builds(
+        lambda second, fraction: second + fraction,
+        st.integers(min_value=0, max_value=3) | st.integers(min_value=0, max_value=10**6),
+        st.sampled_from([0.0, 0.5, math.nextafter(1.0, 0.0)])
+        | st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    ),
+    max_size=200,
+)
+
+
+@given(second_times, st.lists(st.floats(min_value=0.0, max_value=100.0), max_size=3))
+def test_stats_peak_matches_counter_reference(event_times, signal_times):
+    log = merge_to_replay_log(
+        [SyscallEvent(t, 5) for t in event_times],
+        [SignalSample(t, "cpu", 0.5) for t in signal_times],
+        "prop",
+    )
+    per_second = Counter(map(math.floor, log.event_times))
+    stats = dataset_stats(log)
+    assert stats.max_antigen_rate == max(per_second.values(), default=0)
+    assert stats.total_antigen == len(event_times)
+
+
 @given(
     st.lists(
         st.lists(st.integers(min_value=0, max_value=511), max_size=50), max_size=4

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gc
 import math
 import os
@@ -32,6 +33,7 @@ from aisd.trace_model import (
 from aisd.twocell import TwocellParams, attach_twocell
 from aisd.wire import (
     MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
     MessageKind,
     ProtocolError,
     ReplayConfig,
@@ -157,24 +159,20 @@ def outcome(parse, line) -> WireMessage | str:
         return str(exc)
 
 
-def assert_memo_canonical() -> None:
-    memo = wire._ANTIGEN_FRAMES
-    assert len(memo) <= 2 * SYSCALL_RANGE
-    for line, message in memo.items():
-        assert message.kind is MessageKind.ANTIGEN
-        assert line == encode(message).encode("ascii")
+# The frame table as this module first saw it: decode only reads the table,
+# so every test below finds it with these keys and these very messages.
+TABLE_AT_IMPORT = dict(wire._ANTIGEN_FRAMES)
 
 
-@pytest.fixture
-def empty_memo():
-    wire._ANTIGEN_FRAMES.clear()
-    yield wire._ANTIGEN_FRAMES
-    wire._ANTIGEN_FRAMES.clear()
+def assert_table_intact() -> None:
+    table = wire._ANTIGEN_FRAMES
+    assert table.keys() == TABLE_AT_IMPORT.keys()
+    assert all(table[frame] is message for frame, message in TABLE_AT_IMPORT.items())
 
 
 # Hostile spellings of ANTIGEN frames: each parses (or fails) but is not the
 # canonical frame of what it parses to. The str spelling of a canonical frame
-# is never stored either: memo keys are bytes as a session splits them.
+# is never looked up either: table keys are bytes as a session splits them.
 NON_CANONICAL = [
     b"ANTIGEN 07 normal\n",
     b"ANTIGEN +7 normal\n",
@@ -192,41 +190,41 @@ NON_CANONICAL = [
 
 
 class TestAntigenMemo:
-    def test_every_canonical_frame(self, empty_memo):
+    """The fixed table of canonical ANTIGEN frames and the interned messages."""
+
+    def test_every_canonical_frame(self):
         frames = canonical_frames()
         assert len(frames) == 2 * SYSCALL_RANGE
+        table = wire._ANTIGEN_FRAMES
+        assert table.keys() == set(frames)
         for frame in frames:
             expected = wire._parse(frame)
-            assert decode(frame) == expected  # first sight
-            assert empty_memo[frame] == expected
-            assert decode(frame) == expected  # memo hit
+            assert table[frame] == expected
+            assert decode(frame) is table[frame]
             assert decode(frame.decode("ascii")) == expected
-        assert len(empty_memo) == 2 * SYSCALL_RANGE
-        assert_memo_canonical()
+            assert table[frame].kind is MessageKind.ANTIGEN
+            assert frame == encode(table[frame]).encode("ascii")
+        assert_table_intact()
 
     @pytest.mark.parametrize("line", NON_CANONICAL)
-    def test_non_canonical_spelling_not_stored(self, empty_memo, line):
-        decode(b"ANTIGEN 7 normal")
-        decode(b"ANTIGEN 10 normal")
-        before = dict(empty_memo)
-        assert len(before) == 2
+    def test_non_canonical_spelling_not_stored(self, line):
         assert outcome(decode, line) == outcome(wire._parse, line)
         assert outcome(decode, line) == outcome(wire._parse, line)
-        assert empty_memo == before
+        assert_table_intact()
 
-    def test_str_lines_not_stored(self, empty_memo):
+    def test_str_lines_not_stored(self):
         assert decode("ANTIGEN 5 normal\n") == WireMessage.antigen(5, Label.NORMAL)
         assert decode("ANTIGEN 5 normal") == WireMessage.antigen(5, Label.NORMAL)
-        assert empty_memo == {}
+        assert_table_intact()
 
-    def test_other_kinds_not_stored(self, empty_memo):
+    def test_other_kinds_not_stored(self):
         for message in (
             WireMessage.hello(("antigen",)), WireMessage.signal("cpu", 0.5),
             WireMessage.response(5, 1, 2.5), WireMessage.bye(),
         ):
             assert decode((encode(message) + "\n").encode("ascii")) == message
             assert decode(encode(message).encode("ascii")) == message
-        assert empty_memo == {}
+        assert_table_intact()
 
     @pytest.mark.parametrize(
         "line, error",
@@ -238,15 +236,14 @@ class TestAntigenMemo:
             (b"ANTIGEN 5\n", "ANTIGEN: expected 2 fields, got 1"),
         ],
     )
-    def test_errors_unchanged_with_warm_memo(self, empty_memo, line, error):
-        for frame in canonical_frames():
-            decode(frame)
-        with pytest.raises(ProtocolError, match=re.escape(error)):
-            decode(line)
-        assert outcome(decode, line) == outcome(wire._parse, line)
-        assert len(empty_memo) == 2 * SYSCALL_RANGE
+    def test_errors_unchanged_with_warm_memo(self, line, error):
+        for frame in (line, line.rstrip(b"\n")):
+            with pytest.raises(ProtocolError, match=re.escape(error)):
+                decode(frame)
+            assert outcome(decode, frame) == outcome(wire._parse, frame)
+        assert_table_intact()
 
-    def test_hostile_stream_keeps_memo_bounded(self, empty_memo):
+    def test_hostile_stream_keeps_memo_bounded(self):
         rng = random.Random(8)
         numbers = ["7", "07", "+7", "0_7", "511", "512", "-0", "00", "1_0", "٧"]
         labels = ["normal", "attack", "Normal", "attack ", "hostile"]
@@ -258,10 +255,7 @@ class TestAntigenMemo:
                 f"{rng.choice(seps)}{rng.choice(labels)}{rng.choice(ends)}"
             ).encode("utf-8")
             assert outcome(decode, line) == outcome(wire._parse, line)
-        for frame in canonical_frames():
-            decode(frame)
-        assert_memo_canonical()
-        assert len(empty_memo) == 2 * SYSCALL_RANGE
+        assert_table_intact()
 
     @given(
         st.integers(min_value=-2, max_value=SYSCALL_RANGE + 2).map(str)
@@ -274,7 +268,67 @@ class TestAntigenMemo:
         line = f"ANTIGEN{sep}{number}{sep}{label}{end}".encode("ascii")
         assert outcome(decode, line) == outcome(wire._parse, line)
         assert outcome(decode, line) == outcome(wire._parse, line)
-        assert_memo_canonical()
+        assert_table_intact()
+
+    def test_antigen_interned_for_every_valid_pair(self):
+        for number in range(SYSCALL_RANGE):
+            for text, label in LABELS.items():
+                message = WireMessage.antigen(number, label)
+                assert WireMessage.antigen(number, label) is message
+                assert wire._ANTIGEN_FRAMES[f"ANTIGEN {number} {text}".encode("ascii")] is message
+                assert (message.kind, message.number, message.label) == (
+                    MessageKind.ANTIGEN, number, label
+                )
+
+    @pytest.mark.parametrize("number", [-1, SYSCALL_RANGE])
+    def test_out_of_range_antigen_is_fresh(self, number):
+        message = WireMessage.antigen(number, Label.ATTACK)
+        again = WireMessage.antigen(number, Label.ATTACK)
+        assert message == again and message is not again
+        assert (message.number, message.label) == (number, Label.ATTACK)
+        frame = encode(message).encode("ascii")
+        assert frame == f"ANTIGEN {number} attack".encode("ascii")
+        with pytest.raises(ProtocolError, match="field 1"):
+            decode(frame)
+        assert_table_intact()
+
+    def test_fields_frozen(self):
+        shared = WireMessage.antigen(5, Label.NORMAL)
+        for message in (shared, WireMessage.response(5, 1, 2.5), WireMessage.bye()):
+            assert not hasattr(message, "__dict__")
+            for name in WireMessage.__slots__:
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(message, name, 7)
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    delattr(message, name)
+        assert (shared.number, shared.label) == (5, Label.NORMAL)
+        assert WireMessage.antigen(5, Label.NORMAL) is shared
+
+    def test_defaults_eq_hash_repr(self):
+        bye = WireMessage(MessageKind.BYE)
+        assert [getattr(bye, f.name) for f in dataclasses.fields(WireMessage)] == [
+            MessageKind.BYE, None, (), None, None, None, None, None, None
+        ]
+        assert bye == WireMessage.bye() and hash(bye) == hash(WireMessage.bye())
+        assert repr(bye) == (
+            "WireMessage(kind=<MessageKind.BYE: 'BYE'>, version=None, roles=(), "
+            "number=None, label=None, name=None, value=None, cell_id=None, timestamp=None)"
+        )
+        by_keyword = WireMessage(MessageKind.ANTIGEN, number=5, label=Label.ATTACK)
+        assert by_keyword == WireMessage.antigen(5, Label.ATTACK)
+        assert hash(by_keyword) == hash(WireMessage.antigen(5, Label.ATTACK))
+        assert by_keyword != WireMessage.antigen(5, Label.NORMAL)
+        assert by_keyword != WireMessage.antigen(6, Label.ATTACK)
+        assert repr(WireMessage.response(5, 12, 3.75)) == (
+            "WireMessage(kind=<MessageKind.RESPONSE: 'RESPONSE'>, version=None, roles=(), "
+            "number=5, label=None, name=None, value=None, cell_id=12, timestamp=3.75)"
+        )
+        assert WireMessage.signal("cpu", 0.5) == WireMessage(
+            MessageKind.SIGNAL, name="cpu", value=0.5
+        )
+        assert WireMessage.hello(["antigen"]) == WireMessage(
+            MessageKind.HELLO, version=PROTOCOL_VERSION, roles=("antigen",)
+        )
 
 
 class TestServer:

@@ -12,7 +12,7 @@ step, so a caller that watches the tissue between steps drives the same run
 as ``run_single_offline``, and every tail cycle of it.  A step is one
 ``Compartment.cycle()`` or one stretch of idle cycles that
 ``Compartment.idle_stretch`` steps between windows (the same RNG stream draw
-for draw, on CPython with n1 + n2 <= 255; see ``twocell``).
+for draw; see ``twocell``).
 ``run_single_offline`` stops draining it after the first step at whose end
 every event has been delivered, the store is empty and nothing is presented:
 no later cycle can present a key, so none can respond, and the response log
@@ -143,7 +143,14 @@ def parse_plan(text: str, base_dir: str | Path = ".") -> ExperimentPlan:
                     f"line {lineno}: expected 'dataset = <path> <group>', got {raw!r}"
                 )
             path, group = parts
-            datasets.append(PlanDataset(str(base / path), ScenarioKind(group)))
+            try:
+                kind = ScenarioKind(group)
+            except ValueError:
+                groups = ", ".join(k.value for k in ScenarioKind)
+                raise ValueError(
+                    f"line {lineno}: unknown dataset group {group!r}, expected one of {groups}"
+                ) from None
+            datasets.append(PlanDataset(str(base / path), kind))
         elif key == "params_file":
             scalars[key] = str(base / value)
         else:
@@ -385,12 +392,10 @@ def _aggregate(
     plan: ExperimentPlan,
     runs: list[RunResult],
     logs: Mapping[str, ReplayLog | None],
-) -> tuple[SyscallPolicy | None, SyscallPolicy | None, SyscallPolicy | None,
+    naive: SyscallPolicy | None,
+) -> tuple[SyscallPolicy | None, SyscallPolicy | None,
            dict[str, dict[str, EvaluationRow]]]:
     normal_names = [d.name for d in plan.normal_datasets()]
-    normal_logs = [logs[n] for n in normal_names if logs.get(n) is not None]
-    naive = naive_policy(normal_logs) if normal_logs else None
-
     normal_run_policies = [
         r.policy for r in runs
         if r.group is ScenarioKind.NORMAL and not r.failed and r.policy is not None
@@ -418,7 +423,7 @@ def _aggregate(
         if pol is None:
             continue
         evaluations[label] = {name: evaluate(pol, log) for name, log in eval_sets}
-    return naive, average, reference, evaluations
+    return average, reference, evaluations
 
 
 def _write_run_dir(out_dir: Path, run: RunResult) -> None:
@@ -454,6 +459,9 @@ def _write_experiment_artifacts(result: ExperimentResult) -> None:
 
 def _run_loop(plan: ExperimentPlan, out_dir: str | Path, runner) -> ExperimentResult:
     logs = _load_logs(plan)
+    # before any run: a normal-group log with attack events raises here
+    normal_logs = [logs[d.name] for d in plan.normal_datasets() if logs[d.name] is not None]
+    naive = naive_policy(normal_logs) if normal_logs else None
     runs: list[RunResult] = []
     run_index = 0
     for ds in plan.datasets:
@@ -475,7 +483,7 @@ def _run_loop(plan: ExperimentPlan, out_dir: str | Path, runner) -> ExperimentRe
                 run.failed = True
                 run.error = str(exc)
             runs.append(run)
-    naive, average, reference, evaluations = _aggregate(plan, runs, logs)
+    average, reference, evaluations = _aggregate(plan, runs, logs, naive)
     stats = {
         name: dataset_stats(log) for name, log in logs.items() if log is not None
     }

@@ -12,8 +12,7 @@ idle cycle (empty store, nothing presented) runs its cells the same way and
 response log.  ``idle_stretch`` steps up to
 a given number of idle cycles at once with ``twocell.idle_stretch``, adding
 them to ``cycle_count`` and ``idle_cycles_total``; its RNG stream is the one
-those cycles would draw, but it needs CPython's ``getrandbits`` layout and
-n1 + n2 <= 255, and it steps nothing otherwise (see ``twocell``).
+those cycles would draw, draw for draw (see ``twocell``).
 
 External writers (wire sessions) may add antigen and set signals
 concurrently with a cycling thread; individual writes are atomic and become
@@ -204,8 +203,7 @@ class Compartment:
     def idle_stretch(self, limit: int) -> int:
         """Step up to ``limit`` idle cycles at once with
         ``twocell.idle_stretch``; return how many were stepped (0 when the
-        population is busy, a reset is due, the population has no kernel
-        because n1 + n2 > 255, or there is no population)."""
+        population is busy, a reset is due, or there is no population)."""
         with self._lock:
             if self.twocell is None:
                 return 0

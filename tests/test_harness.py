@@ -81,6 +81,11 @@ class TestPlanParsing:
         with pytest.raises(ValueError, match="dataset"):
             parse_plan("dataset = onlyonepart\n")
 
+    def test_unknown_dataset_group_names_line(self):
+        message = "^line 2: unknown dataset group 'normall', expected one of success, failure, normal$"
+        with pytest.raises(ValueError, match=message):
+            parse_plan("# plan\ndataset = a.tcr normall\n")
+
     @pytest.mark.parametrize(
         "key", ["runs_per_dataset", "start_delay", "tail_time", "rate_multiplier", "seed_base"]
     )
@@ -187,6 +192,24 @@ class TestPlanParsing:
 
 
 class TestOfflineExperiment:
+    def test_attack_events_in_a_normal_group_fail_before_any_run(
+        self, bundled_files, tmp_path, monkeypatch
+    ):
+        plan = ExperimentPlan(
+            datasets=(
+                PlanDataset(str(bundled_files["normal1"]), ScenarioKind.NORMAL),
+                PlanDataset(str(bundled_files["success1"]), ScenarioKind.NORMAL),
+            ),
+            runs_per_dataset=2,
+        )
+        runs = []
+        monkeypatch.setattr(aisd.harness, "run_single_offline",
+                            lambda *args, **kwargs: runs.append(args))
+        with pytest.raises(ValueError, match="'success1' contains attack-labeled events"):
+            run_offline(plan, tmp_path / "exp", FAST_TISSUE, FAST_TWOCELL)
+        assert runs == []
+        assert not (tmp_path / "exp").exists()
+
     def test_artifact_layout(self, bundled_files, tmp_path):
         plan = small_plan(bundled_files)
         result = run_offline(plan, tmp_path / "exp", FAST_TISSUE, FAST_TWOCELL)
@@ -726,12 +749,12 @@ def driven_state(compartment) -> dict:
     }
 
 
-def stepped_run(log, seed, tail_time, cps):
+def stepped_run(log, seed, tail_time, cps, twocell_params=FAST_TWOCELL):
     """Drive offline_cycles to the end on a fresh compartment; returns the
     driven_state at each yield, the number of cycle() calls and the number
     of idle_stretch calls that stepped a cycle or more."""
     compartment = create_compartment(TissueParams(cycles_per_second=cps), seed)
-    attach_twocell(compartment, FAST_TWOCELL)
+    attach_twocell(compartment, twocell_params)
     cycle, stretch = compartment.cycle, compartment.idle_stretch
     calls = {"cycle": 0, "stretch": 0}
 
@@ -753,16 +776,16 @@ def stepped_run(log, seed, tail_time, cps):
 OFFLINE_SOURCES = ["normal1", "normal2", "success1", "success2", "failure1", "failure2", "edges"]
 
 
-def stepped_and_reference_runs(log, monkeypatch):
+def stepped_and_reference_runs(log, monkeypatch, twocell_params=FAST_TWOCELL):
     """stepped_run of the log, then the same run with every cycle run
     through cycle(), at a decimal cycle rate and at 3.3, whose windows fall
     off the records' decimal grid; yields (seed, tail_time, cps, run,
     reference) per setting."""
     for seed, tail_time, cps in ((1, 30.0, 10.0), (2, 7.0, 3.3)):
-        run = stepped_run(log, seed, tail_time, cps)
+        run = stepped_run(log, seed, tail_time, cps, twocell_params)
         with monkeypatch.context() as m:
             m.setattr(Compartment, "idle_stretch", lambda self, limit: 0)
-            reference = stepped_run(log, seed, tail_time, cps)
+            reference = stepped_run(log, seed, tail_time, cps, twocell_params)
         yield seed, tail_time, cps, run, reference
 
 
@@ -784,8 +807,13 @@ def test_stepping_matches_cycle_by_cycle(bundled_logs, monkeypatch, source):
     assert idle  # every log, the edge log too, idles in the 30 s tail
 
 
-@pytest.mark.parametrize("source", OFFLINE_SOURCES)
-def test_offline_cycles_yields_once_per_step(bundled_logs, monkeypatch, source):
+@pytest.mark.parametrize(
+    "source, twocell_params",
+    [pytest.param(source, FAST_TWOCELL, id=source) for source in OFFLINE_SOURCES]
+    # a population of more than 255 cells steps its idle stretches too
+    + [pytest.param("normal1", TwocellParams(n_type1=100, n_type2=200), id="normal1-300-cells")],
+)
+def test_offline_cycles_yields_once_per_step(bundled_logs, monkeypatch, source, twocell_params):
     """offline_cycles yields once per cycle() call and once per stretch that
     idle_stretch steps.  At each yield the compartment is where running
     every cycle through cycle() leaves it after cycle_count cycles, and
@@ -794,7 +822,8 @@ def test_offline_cycles_yields_once_per_step(bundled_logs, monkeypatch, source):
     log = window_edge_log() if source == "edges" else bundled_logs[source]
     made = capture_compartments(monkeypatch)
     stretches_seen = 0
-    for seed, tail_time, cps, run, ref_run in stepped_and_reference_runs(log, monkeypatch):
+    runs = stepped_and_reference_runs(log, monkeypatch, twocell_params)
+    for seed, tail_time, cps, run, ref_run in runs:
         (states, cycles, stretches), (reference, ref_cycles, ref_stretches) = run, ref_run
         assert ref_stretches == 0
         assert [ref["cycle_count"] for ref in reference] == list(range(1, ref_cycles + 1))
@@ -808,7 +837,7 @@ def test_offline_cycles_yields_once_per_step(bundled_logs, monkeypatch, source):
         quiescent = [ref["cycle_count"] for ref in reference
                      if ref["totals"]["antigen_added_total"] == len(log.event_times)
                      and not ref["store"] and not ref["population"][-1]]
-        run_single_offline(log, TissueParams(cycles_per_second=cps), FAST_TWOCELL,
+        run_single_offline(log, TissueParams(cycles_per_second=cps), twocell_params,
                            seed, tail_time)
         assert made[-1].cycle_count == (quiescent or [ref_cycles])[0]
     assert stretches_seen

@@ -296,7 +296,7 @@ def reference_run_cells(compartment):
 
 class TestInlineShuffle:
     """``run_cells``' inline shuffle against ``rng.shuffle`` over idle, busy
-    and reset cycles; 100 + 156 cells is a population with no idle kernel."""
+    and reset cycles; with 100 + 156 cells a shuffle draw takes 9 bits."""
 
     RIGGED = 5  # the first Type 2 cell's first lock, fed in as antigen
 
@@ -354,25 +354,26 @@ class TestInlineShuffle:
         assert fast.twocell.matches[0] > 0
 
 
+class WidthRecordingRandom(random.Random):
+    """A ``random.Random`` that records the width of each ``getrandbits`` call."""
+
+    def __init__(self, seed: int):
+        self.widths: list[int] = []
+        super().__init__(seed)
+
+    def getrandbits(self, k: int) -> int:
+        self.widths.append(k)
+        return super().getrandbits(k)
+
+
 def run_totals(comp) -> dict[str, int]:
     return {name: value for name, value in vars(comp).items() if name.endswith("_total")}
 
 
 class TestIdleStretch:
-    def test_getrandbits_word_layout(self):
-        """The layout the idle kernel reads: getrandbits(k), k <= 32, is the
-        top k bits of one 32-bit word, and getrandbits(32 * m) holds m
-        words with the first in the lowest 32 bits."""
-        for seed in range(3):
-            words, draws = random.Random(seed), random.Random(seed)
-            for k in range(1, 33):
-                assert draws.getrandbits(k) == words.getrandbits(32) >> (32 - k)
-            for m in (1, 2, 7, 64):
-                expected = sum(words.getrandbits(32) << (32 * i) for i in range(m))
-                assert draws.getrandbits(32 * m) == expected
-            assert draws.getstate() == words.getstate()
-
-    @pytest.mark.parametrize("n1, n2", [(1, 1), (1, 2), (3, 13), (10, 20), (100, 155)])
+    @pytest.mark.parametrize(
+        "n1, n2", [(1, 1), (1, 2), (3, 13), (10, 20), (100, 155), (100, 156), (1, 300)]
+    )
     @pytest.mark.parametrize("lifespan", [1, 2, 3, 100])
     def test_equals_per_cycle_run_cells(self, n1, n2, lifespan):
         """A stretch leaves the RNG, the population and the totals where one
@@ -415,21 +416,41 @@ class TestIdleStretch:
         assert {0, 300} <= lengths
         assert len(lengths) > 3 or lifespan == 1  # then an unmatched cell always blocks
 
-    @pytest.mark.parametrize("n1, n2", [(1, 1), (10, 20)])
-    def test_every_stretch_length(self, n1, n2):
-        """Stretches of each length 1..300 in turn, every cell matched so
+    @pytest.mark.parametrize(
+        "n1, n2, longest",
+        # the 300-cell population runs ten times slower per cycle
+        [pytest.param(1, 1, 300, id="1-1"), pytest.param(10, 20, 300, id="10-20"),
+         pytest.param(100, 200, 30, id="100-200")],
+    )
+    def test_every_stretch_length(self, n1, n2, longest):
+        """Stretches of each length 1..longest in turn, every cell matched so
         that no reset cuts them short, track one cycle() per cycle."""
         fast, ref = create_compartment(seed=7), create_compartment(seed=7)
         for comp in (fast, ref):
             attach_twocell(comp, TwocellParams(n_type1=n1, n_type2=n2))
             comp.twocell.matches[:] = [1] * n2
-        for limit in range(1, 301):
+        for limit in range(1, longest + 1):
             assert fast.idle_stretch(limit) == limit
             for _ in range(limit):
                 ref.cycle()
             assert fast.rng.getstate() == ref.rng.getstate()
-        assert fast.twocell.ages == ref.twocell.ages == [150 * 301] * n2
+        assert fast.twocell.ages == ref.twocell.ages == [longest * (longest + 1) // 2] * n2
         assert run_totals(fast) == run_totals(ref)
+
+    @pytest.mark.parametrize("n1, n2", [(1, 2), (10, 20), (100, 156)])
+    def test_asks_for_the_widths_of_per_cycle_draws(self, n1, n2):
+        """A stretch calls getrandbits with the widths, in the order, that
+        one cycle() per stepped cycle calls it with."""
+        fast, ref = create_compartment(seed=4), create_compartment(seed=4)
+        for comp in (fast, ref):
+            comp.rng = WidthRecordingRandom(4)
+            attach_twocell(comp, TwocellParams(n_type1=n1, n_type2=n2))
+            comp.rng.widths.clear()  # the locks' draws
+        assert fast.idle_stretch(40) == 40
+        for _ in range(40):
+            ref.cycle()
+        assert fast.rng.widths == ref.rng.widths
+        assert len(fast.rng.widths) >= 40 * (n1 + n2 - 1)
 
     def test_zero_when_not_idle(self):
         params = TwocellParams(cell_lifespan=10)
@@ -459,12 +480,3 @@ class TestIdleStretch:
         comp.twocell.matches[3] = 1  # a matched cell never resets
         assert comp.idle_stretch(50) == 9  # the others, at age 0, reset at 10
         assert comp.twocell.ages[3] == 18 and comp.twocell.ages[0] == 9
-
-    def test_no_kernel_above_255_cells(self):
-        for n1, n2, kernel in ((100, 155, True), (100, 156, False), (1, 255, False)):
-            comp = create_compartment(seed=1)
-            attach_twocell(comp, TwocellParams(n_type1=n1, n_type2=n2))
-            assert (comp.twocell.idle_kernel is not None) is kernel
-            before = comp.rng.getstate()
-            assert comp.idle_stretch(5) == (5 if kernel else 0)
-            assert (comp.rng.getstate() == before) is not kernel

@@ -88,6 +88,15 @@ class ExperimentPlan:
         check_finite("start_delay", self.start_delay)
         check_finite("tail_time", self.tail_time)
         check_finite("rate_multiplier", self.rate_multiplier, positive=True)
+        # logs, runs and run directories are keyed by the dataset's name
+        paths: dict[str, str] = {}
+        for dataset in self.datasets:
+            if dataset.name in paths:
+                raise ValueError(
+                    f"datasets {paths[dataset.name]!r} and {dataset.path!r}"
+                    f" share the name {dataset.name!r}"
+                )
+            paths[dataset.name] = dataset.path
 
     def normal_datasets(self) -> list[PlanDataset]:
         return [d for d in self.datasets if d.group is ScenarioKind.NORMAL]
@@ -151,6 +160,10 @@ def parse_plan(text: str, base_dir: str | Path = ".") -> ExperimentPlan:
                     f"line {lineno}: unknown dataset group {group!r}, expected one of {groups}"
                 ) from None
             datasets.append(PlanDataset(str(base / path), kind))
+            try:
+                ExperimentPlan(datasets=tuple(datasets))
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
         elif key == "params_file":
             scalars[key] = str(base / value)
         else:

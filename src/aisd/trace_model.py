@@ -5,6 +5,11 @@ syscall events (antigen) and context signal samples (CPU usage).  A
 scenario's replay log holds them as two groups of parallel columns, one per
 kind, each sorted by time; ``ReplayLog.records`` merges them into one
 time-ordered stream of ``SyscallEvent``/``SignalSample`` records on demand.
+
+``parse_replay_log`` reads the replay-log text a block of whole lines at a
+time.  Runs of event lines spelled as ``write_replay_log`` writes them are
+converted in bulk, column by column; every other line goes through the
+per-line checks, which alone decide what a valid line is.
 """
 from __future__ import annotations
 
@@ -17,7 +22,8 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
+from operator import le
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -673,24 +679,33 @@ def write_replay_log(log: ReplayLog, path: str | Path) -> None:
 # characters per piece that parse_replay_log takes at a time
 _PARSE_CHARS = 64 * 1024
 
+# the longest run of event lines at a position, each its kind and three
+# tokens separated by single spaces, as write_replay_log writes them; \S
+# excludes every str.isspace character, line boundaries included, so a run
+# splits into exactly four tokens per line
+_EVENT_RUN = re.compile(r"(?:A \S+ \S+ \S+\n)*")
+# each valid syscall number as write_replay_log spells it
+_NUMBERS = {str(n): n for n in range(SYSCALL_RANGE)}
 
-def _line_blocks(pieces: Iterable[str]) -> Iterator[list[str]]:
-    """The lines of the pieces' concatenation, a list per piece.
+
+def _line_blocks(pieces: Iterable[str]) -> Iterator[str]:
+    """The pieces' concatenation in blocks of whole lines.
 
     Each piece is cut just after its last ``"\n"``, which always ends a line,
-    and the rest goes ahead of the next piece; so the lists together are
-    exactly ``"".join(pieces).splitlines()``, whatever the line boundaries.
+    and the rest goes ahead of the next piece; so every block but the last
+    ends with ``"\n"``, and the blocks' lines together are exactly
+    ``"".join(pieces).splitlines()``, whatever the line boundaries.
     """
     rest = ""
     for piece in pieces:
         cut = piece.rfind("\n") + 1
         if cut:
-            yield (rest + piece[:cut]).splitlines()
+            yield rest + piece[:cut]
             rest = piece[cut:]
         else:
             rest += piece
     if rest:
-        yield rest.splitlines()
+        yield rest
 
 
 def parse_replay_log(text: str | Iterable[str], default_name: str = "unnamed") -> ReplayLog:
@@ -698,12 +713,18 @@ def parse_replay_log(text: str | Iterable[str], default_name: str = "unnamed") -
 
     ``text`` is the log's text, or an iterable of pieces whose concatenation
     is the text; a ``str`` is read in pieces of ``_PARSE_CHARS`` characters.
-    Lines are those of ``str.splitlines``, held one piece at a time, and a
-    column's list is freed as its tuple is built, so parsing holds little
-    beyond the log it returns.  Each line is checked as
-    ``SyscallEvent``/``SignalSample`` would check it.  A kind whose lines
-    are out of time order is stably sorted; a file in order, as
-    ``write_replay_log`` writes it, is not.
+    Lines are those of ``str.splitlines``, held one block of whole lines at
+    a time, and a column's list is freed as its tuple is built, so parsing
+    holds little beyond the log it returns.
+
+    Each run of event lines written as ``write_replay_log`` writes them is
+    converted at once, column by column, and kept only if every token
+    converts and its times are in order from the last event's; any other
+    line, and every line of a run not kept, goes through the per-line code,
+    which checks it as ``SyscallEvent``/``SignalSample`` would and is the
+    only place that rejects a line.  A kind whose lines are out of time
+    order is stably sorted; a file in order, as ``write_replay_log`` writes
+    it, is not.
     """
     if isinstance(text, str):
         pieces: Iterable[str] = (
@@ -724,50 +745,83 @@ def parse_replay_log(text: str | Iterable[str], default_name: str = "unnamed") -
     events_in_order = signals_in_order = True
     last_event = last_signal = 0.0
     inf = math.inf
-    for lineno, raw in enumerate(chain.from_iterable(_line_blocks(pieces)), start=1):
-        parts = raw.split()
-        if not parts:
-            continue
-        kind = parts[0]
-        try:
-            if kind == "A" and len(parts) == 4:
-                token = parts[3]
-                label = LABELS.get(token) or Label(token)
-                ts = float(parts[1])
-                number = int(parts[2])
-                if not 0.0 <= ts < inf:
-                    raise ValueError(f"timestamp must be finite and >= 0, got {ts}")
-                if not 0 <= number < SYSCALL_RANGE:
-                    raise ValueError(f"syscall number {number} outside [0, {SYSCALL_RANGE})")
-                if ts < last_event:
-                    events_in_order = False
-                last_event = ts
-                add_time(ts)
-                add_number(number)
-                add_label(label)
-            elif kind == "S" and len(parts) == 4:
-                ts = float(parts[1])
-                value = float(parts[3])
-                if not 0.0 <= ts < inf:
-                    raise ValueError(f"timestamp must be finite and >= 0, got {ts}")
-                if not 0.0 <= value <= 1.0:
-                    raise ValueError(f"signal value {value} outside [0, 1]")
-                if ts < last_signal:
-                    signals_in_order = False
-                last_signal = ts
-                signal_times.append(ts)
-                signal_names.append(parts[2])
-                signal_values.append(value)
-            elif kind[0] == "#":
-                parts = raw.strip()[1:].split()
-                if len(parts) >= 2 and parts[0] == "scenario":
-                    name = parts[1]
+    match_run = _EVENT_RUN.match
+    lineno = 0
+    for block in _line_blocks(pieces):
+        pos = 0
+        size = len(block)
+        while pos < size:
+            end = match_run(block, pos).end()
+            if end == pos:
+                # no event run here: the lines up to the next that starts "A "
+                end = block.find("\nA ", pos) + 1 or size
             else:
-                raise ReplayLogFormatError(f"line {lineno}: unrecognized record {raw!r}")
-        except ReplayLogFormatError:
-            raise
-        except ValueError as exc:
-            raise ReplayLogFormatError(f"line {lineno}: {exc}") from None
+                tokens = block[pos:end].split()
+                try:
+                    times = list(map(float, tokens[1::4]))
+                    numbers = list(map(_NUMBERS.__getitem__, tokens[2::4]))
+                    labels = list(map(LABELS.__getitem__, tokens[3::4]))
+                except (ValueError, KeyError):
+                    pass
+                else:
+                    # in order from the last event and finite: so also >= 0, no nan
+                    if (last_event <= times[0] and times[-1] < inf
+                            and all(map(le, times, islice(times, 1, None)))):
+                        event_times += times
+                        event_numbers += numbers
+                        event_labels += labels
+                        last_event = times[-1]
+                        lineno += len(times)
+                        pos = end
+                        continue
+            for raw in block[pos:end].splitlines():
+                lineno += 1
+                parts = raw.split()
+                if not parts:
+                    continue
+                kind = parts[0]
+                try:
+                    if kind == "A" and len(parts) == 4:
+                        token = parts[3]
+                        label = LABELS.get(token) or Label(token)
+                        ts = float(parts[1])
+                        number = int(parts[2])
+                        if not 0.0 <= ts < inf:
+                            raise ValueError(f"timestamp must be finite and >= 0, got {ts}")
+                        if not 0 <= number < SYSCALL_RANGE:
+                            raise ValueError(
+                                f"syscall number {number} outside [0, {SYSCALL_RANGE})"
+                            )
+                        if ts < last_event:
+                            events_in_order = False
+                        last_event = ts
+                        add_time(ts)
+                        add_number(number)
+                        add_label(label)
+                    elif kind == "S" and len(parts) == 4:
+                        ts = float(parts[1])
+                        value = float(parts[3])
+                        if not 0.0 <= ts < inf:
+                            raise ValueError(f"timestamp must be finite and >= 0, got {ts}")
+                        if not 0.0 <= value <= 1.0:
+                            raise ValueError(f"signal value {value} outside [0, 1]")
+                        if ts < last_signal:
+                            signals_in_order = False
+                        last_signal = ts
+                        signal_times.append(ts)
+                        signal_names.append(parts[2])
+                        signal_values.append(value)
+                    elif kind[0] == "#":
+                        parts = raw.strip()[1:].split()
+                        if len(parts) >= 2 and parts[0] == "scenario":
+                            name = parts[1]
+                    else:
+                        raise ReplayLogFormatError(f"line {lineno}: unrecognized record {raw!r}")
+                except ReplayLogFormatError:
+                    raise
+                except ValueError as exc:
+                    raise ReplayLogFormatError(f"line {lineno}: {exc}") from None
+            pos = end
     # the bound appends hold the lists too; rebinding each column's name to
     # its tuple then frees its list before the next tuple is built
     del add_time, add_number, add_label
@@ -790,10 +844,12 @@ def read_replay_log(path: str | Path) -> ReplayLog:
     """Parse a replay-log file, named by its stem unless it names itself.
 
     The file is decoded as UTF-8, with the universal newlines of
-    ``Path.read_text``, and handed to ``parse_replay_log`` in pieces of
-    ``_PARSE_CHARS`` characters, so its whole text is never held.  Bytes that
-    are not UTF-8 raise ``UnicodeDecodeError`` (a ``ValueError``) when their
-    piece is read; a format error in an earlier line is reported first.
+    ``Path.read_text``, and handed to the module's ``parse_replay_log`` in
+    pieces of ``_PARSE_CHARS`` characters, so its whole text is never held;
+    the event runs of a file that ``write_replay_log`` wrote are converted
+    in bulk, any other line one at a time.  Bytes that are not UTF-8 raise
+    ``UnicodeDecodeError`` (a ``ValueError``) when their piece is read; a
+    format error in an earlier line is reported first.
     """
     p = Path(path)
     with p.open(encoding="utf-8") as f:

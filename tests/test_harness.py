@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+import re
 import time
 from itertools import repeat
 from pathlib import Path
@@ -107,6 +108,22 @@ class TestPlanParsing:
         params.write_text(f"signals = cpu\ncycles_per_second = {token}\n")
         with pytest.raises(ValueError, match="^cycles_per_second must be finite and > 0"):
             load_params_file(params)
+
+    def test_datasets_sharing_a_name_rejected(self):
+        datasets = (
+            PlanDataset("a/x.tcr", ScenarioKind.NORMAL),
+            PlanDataset("b/x.tcr", ScenarioKind.SUCCESS),
+        )
+        message = "^datasets 'a/x.tcr' and 'b/x.tcr' share the name 'x'$"
+        with pytest.raises(ValueError, match=message):
+            ExperimentPlan(datasets=datasets)
+
+    def test_dataset_sharing_a_name_names_its_line(self, tmp_path):
+        text = "# plan\ndataset = a/x.tcr normal\nruns_per_dataset = 1\ndataset = b/x.tcr normal\n"
+        first, second = tmp_path / "a/x.tcr", tmp_path / "b/x.tcr"
+        message = f"line 4: datasets '{first}' and '{second}' share the name 'x'"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_plan(text, base_dir=tmp_path)
 
     def test_absent_keys_keep_plan_defaults(self, tmp_path):
         plan = parse_plan("dataset = a.tcr normal\n", base_dir=tmp_path)

@@ -23,6 +23,7 @@ from aisd.trace_model import (
 from aisd.wire import WireMessage, decode, encode
 
 import invariant_checks
+from replay_reference import parse_replay_log_per_line
 
 # -- wire protocol -----------------------------------------------------------
 
@@ -179,9 +180,85 @@ def test_replay_log_pieces_parse_as_whole_text(lines, ends, last_end, sizes):
         text = text[:-len(ends[(len(lines) - 1) % len(ends)])]
     pieces = cut(text, sizes)
     assert "".join(pieces) == text
-    lines_read = chain.from_iterable(aisd.trace_model._line_blocks(iter(pieces)))
+    blocks = list(aisd.trace_model._line_blocks(iter(pieces)))
+    assert "".join(blocks) == text
+    assert all(block.endswith("\n") for block in blocks[:-1])
+    lines_read = chain.from_iterable(block.splitlines() for block in blocks)
     assert list(lines_read) == text.splitlines()
     assert parse_outcome(iter(pieces)) == parse_outcome(text)
+
+
+# event lines as write_replay_log writes them, in time order, so that runs
+# of them are converted in bulk
+event_runs = st.lists(
+    st.tuples(file_floats, st.integers(min_value=0, max_value=511), st.sampled_from(list(Label))),
+    min_size=1, max_size=20,
+).map(lambda rows: [f"A {t:.6f} {n} {label.value}" for t, n, label in sorted(rows)])
+# spellings of each event field that the bulk conversion must hand to the
+# per-line checks, which accept some and reject the rest: times, numbers, labels
+ODD_FIELDS = (
+    ["1e-3", "nan", "inf", "-0.0", "1_0", "9" * 400],
+    ["007", "+5", "512", "-1", "\u0665"],
+    ["Normal", "bogus"],
+)
+odd_events = st.builds(
+    lambda t, n, label, sep: sep.join(["A", t, n, label]),
+    st.sampled_from(ODD_FIELDS[0]) | file_floats.map("{:.6f}".format),
+    st.sampled_from(ODD_FIELDS[1]) | st.integers(min_value=0, max_value=511).map(str),
+    st.sampled_from(ODD_FIELDS[2]) | st.sampled_from(["normal", "attack"]),
+    # mostly the writer's single space, so that the line joins a run
+    st.just(" ") | st.sampled_from(["  ", "\t", " \t "]),
+).map(lambda line: [line])
+# mostly runs and other valid lines, so that most texts parse to a log
+mixed_lines = st.one_of(
+    event_runs,
+    event_runs,
+    odd_events,
+    file_samples.map(lambda samples: [file_line(s)[:-1] for s in samples]),
+    st.lists(st.sampled_from(["# scenario mixed", "#", "", "  ", "A", "A 1 2"]), max_size=3),
+)
+
+
+def reference_outcome(text: str):
+    try:
+        return parse_replay_log_per_line(text, "prop")
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.lists(mixed_lines, max_size=12).map(lambda groups: [line for g in groups for line in g]),
+    # mostly "\n", the only end an event run takes
+    st.lists(st.just("\n") | st.sampled_from(LINE_ENDS), min_size=1, max_size=8),
+    st.lists(st.one_of(st.integers(min_value=1, max_value=40),
+                       st.integers(min_value=1, max_value=5_000)), min_size=1, max_size=8),
+)
+def test_replay_log_matches_per_line_reference(lines, ends, sizes):
+    text = "".join(line + ends[k % len(ends)] for k, line in enumerate(lines))
+    expected = reference_outcome(text)
+    for source in (text, iter(cut(text, sizes))):
+        outcome = parse_outcome(source)
+        assert outcome == expected
+        # repr tells -0.0 from 0.0, which == does not
+        assert repr(outcome) == repr(expected)
+
+
+@pytest.mark.parametrize("previous", ["0.000000", "0.400000"])
+@pytest.mark.parametrize(
+    "field, token", [(k, token) for k, tokens in enumerate(ODD_FIELDS) for token in tokens]
+)
+def test_odd_field_in_an_event_run_matches_per_line_reference(field, token, previous):
+    # the odd line sits inside a run, after an event at `previous`
+    fields = ["0.200000", "5", "normal"]
+    fields[field] = token
+    text = (f"A {previous} 7 attack\nS 0.0 cpu 0.5\nA 0.100000 5 normal\n"
+            f"A {' '.join(fields)}\nA 0.300000 9 normal\n")
+    expected = reference_outcome(text)
+    for k in range(len(text) + 1):
+        outcome = parse_outcome([text[:k], text[k:]])
+        assert outcome == expected
+        assert repr(outcome) == repr(expected)
 
 
 @given(timestamps)

@@ -6,11 +6,12 @@ import math
 import random
 import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 import aisd.trace_model
-from aisd.scenarios import ScenarioKind, ScenarioProfile, synthesize_scenario
+from aisd.scenarios import BUNDLED_PROFILES, ScenarioKind, ScenarioProfile, synthesize_scenario
 from aisd.trace_model import (
     SYSCALL_NAMES,
     Label,
@@ -437,6 +438,31 @@ class TestStreamedParse:
         assert len(log.event_times) >= 100_000
         retained = after - before
         assert peak - after <= 0.5 * retained
+
+
+@pytest.fixture(scope="module")
+def flood_profiles() -> tuple[ScenarioProfile, ...]:
+    """The benchmark's offline-flood profiles."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+        from workloads import FLOOD_PROFILES
+    return FLOOD_PROFILES
+
+
+@pytest.mark.parametrize("seed_shift", [0, 1000])
+def test_written_event_lines_are_parsed_in_bulk(flood_profiles, seed_shift):
+    # a writer change such as "%03d" numbers would send every event line
+    # through the per-line checks, which still parse it, only slower
+    event_run = aisd.trace_model._EVENT_RUN
+    for profile in (*BUNDLED_PROFILES.values(), *flood_profiles):
+        log = synthesize_scenario(dataclasses.replace(profile, seed=profile.seed + seed_shift))
+        lines = format_replay_log(log).splitlines(keepends=True)
+        events = [line for line in lines if line.startswith("A")]
+        assert len(events) == len(log.event_times)
+        for line in events:
+            assert event_run.fullmatch(line), line
+            _, _, number, label = line.split()
+            assert number in aisd.trace_model._NUMBERS and label in aisd.trace_model.LABELS
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5])

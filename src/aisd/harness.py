@@ -36,7 +36,6 @@ from typing import Iterator, Mapping
 
 from .policy import (
     EvaluationRow,
-    ResponseFrequencyTable,
     SyscallPolicy,
     average_policy,
     evaluate,
@@ -213,13 +212,13 @@ def load_params_file(
             cls, name, read = _PARAMS_KEYS[key]
             target = kwargs[cls]
         else:
-            raise ValueError(f"unknown params key {key!r}")
+            raise ValueError(f"line {lineno}: unknown params key {key!r}")
         if name in target:
             raise ValueError(f"line {lineno}: duplicate params key {key!r}")
         try:
             target[name] = read(value)
         except ValueError as exc:
-            raise ValueError(f"bad value for {key!r}: {exc}") from None
+            raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}") from None
     return TissueParams(**kwargs[TissueParams]), TwocellParams(**kwargs[TwocellParams]), extras
 
 
@@ -230,7 +229,7 @@ class RunResult:
     index: int
     seed: int
     policy: SyscallPolicy | None = None
-    frequencies: ResponseFrequencyTable | None = None
+    frequencies: tuple[tuple[int, int], ...] | None = None
     responses: list[ResponseRecord] = field(default_factory=list)
     failed: bool = False
     error: str | None = None

@@ -37,13 +37,6 @@ class SyscallPolicy:
 
 
 @dataclass(frozen=True)
-class ResponseFrequencyTable:
-    """(syscall, response count) rows, ascending by frequency then number."""
-
-    rows: tuple[tuple[int, int], ...]
-
-
-@dataclass(frozen=True)
 class EvaluationRow:
     """Permit/deny accounting of one policy against one labeled log."""
 
@@ -91,18 +84,17 @@ def naive_policy(normal_logs: Sequence[ReplayLog]) -> SyscallPolicy:
 
 def policy_from_run(
     response_log: Sequence[ResponseRecord], source: str = ""
-) -> tuple[SyscallPolicy, ResponseFrequencyTable]:
-    """Policy permitting only responded syscalls, plus their frequencies."""
+) -> tuple[SyscallPolicy, tuple[tuple[int, int], ...]]:
+    """Policy permitting only responded syscalls, plus their frequencies:
+    (syscall, response count) rows, ascending by count then number."""
     counts = Counter(rec.matched_value for rec in response_log)
-    table = ResponseFrequencyTable(
-        tuple(sorted(counts.items(), key=lambda item: (item[1], item[0])))
-    )
+    rows = tuple(sorted(counts.items(), key=lambda item: (item[1], item[0])))
     policy = SyscallPolicy(
         frozenset(counts),
         PolicyProvenance.TWOCELL_SINGLE_RUN,
         (source,) if source else (),
     )
-    return policy, table
+    return policy, rows
 
 
 def average_policy(policies: Sequence[SyscallPolicy]) -> SyscallPolicy:
@@ -221,9 +213,9 @@ def read_policy(path: str | Path) -> SyscallPolicy:
 # Report formatting
 # ---------------------------------------------------------------------------
 
-def format_frequency_table(table: ResponseFrequencyTable) -> str:
+def format_frequency_table(rows: tuple[tuple[int, int], ...]) -> str:
     lines = ["syscall\tfrequency"]
-    for nr, freq in table.rows:
+    for nr, freq in rows:
         lines.append(f"{syscall_name(nr)}({nr})\t{freq}")
     return "\n".join(lines) + "\n"
 

@@ -19,10 +19,9 @@ non-ASCII one or one cut off by the disconnect is a protocol error that
 closes the session, and the frames before it still apply.  Frames after a
 bad frame, or after ``BYE``, are ignored.
 
-``WireMessage`` is a frozen slots dataclass with a hand-written
-``__init__`` that sets each slot through its descriptor.  The
-``2 * SYSCALL_RANGE`` ``ANTIGEN`` messages, one per syscall number and label,
-are built once at import and shared: ``WireMessage.antigen`` returns them.
+``WireMessage`` is a frozen slots dataclass.  The ``2 * SYSCALL_RANGE``
+``ANTIGEN`` messages, one per syscall number and label, are built once at
+import and shared: ``WireMessage.antigen`` returns them.
 ``decode`` answers a bytes line that is the canonical frame of one of them, as
 a server session splits it off a read without the newline, from a fixed table
 of those frames, built with the messages and never written after; any other
@@ -93,7 +92,7 @@ def default_port() -> int:
     return port
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class WireMessage:
     """One protocol message; the fields its kind does not use are left at
     their defaults.  Frozen, since ``antigen`` hands the same instance to
@@ -108,33 +107,6 @@ class WireMessage:
     value: float | None = None
     cell_id: int | None = None
     timestamp: float | None = None
-
-    # Hand-written as trace_model.SyscallEvent's is: each slot set through its
-    # descriptor, which costs less than the generated frozen __init__'s
-    # object.__setattr__ per field.
-    def __init__(
-        self,
-        kind: MessageKind,
-        version: int | None = None,
-        roles: tuple[str, ...] = (),
-        number: int | None = None,
-        label: Label | None = None,
-        name: str | None = None,
-        value: float | None = None,
-        cell_id: int | None = None,
-        timestamp: float | None = None,
-    ):
-        (set_kind, set_version, set_roles, set_number, set_label,
-         set_name, set_value, set_cell_id, set_timestamp) = _MESSAGE_SLOTS
-        set_kind(self, kind)
-        set_version(self, version)
-        set_roles(self, roles)
-        set_number(self, number)
-        set_label(self, label)
-        set_name(self, name)
-        set_value(self, value)
-        set_cell_id(self, cell_id)
-        set_timestamp(self, timestamp)
 
     @classmethod
     def hello(cls, roles: Iterable[str], version: int = PROTOCOL_VERSION) -> WireMessage:
@@ -160,10 +132,6 @@ class WireMessage:
     def bye(cls) -> WireMessage:
         return cls(_BYE)
 
-
-# each field's slot descriptor setter, in field order; it stores the value
-# where the frozen __setattr__ would refuse
-_MESSAGE_SLOTS = tuple(getattr(WireMessage, f).__set__ for f in WireMessage.__slots__)
 
 _HELLO, _ANTIGEN, _SIGNAL = MessageKind.HELLO, MessageKind.ANTIGEN, MessageKind.SIGNAL
 _RESPONSE, _BYE = MessageKind.RESPONSE, MessageKind.BYE

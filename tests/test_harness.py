@@ -33,6 +33,17 @@ FAST_TISSUE = TissueParams(cycles_per_second=10.0)
 FAST_TWOCELL = TwocellParams()
 
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_example(heading: str) -> str:
+    """The first fenced block after the README paragraph opened by ``heading``."""
+    text = README.read_text(encoding="utf-8")
+    text = text[text.index(heading):]
+    start = text.index("```\n") + 4
+    return text[start:text.index("```", start)]
+
+
 def small_plan(files, runs=2, seed_base=500, tail=5.0):
     return ExperimentPlan(
         datasets=(
@@ -178,10 +189,10 @@ class TestPlanParsing:
         # lines are checked in file order, so the first bad line is reported
         params = tmp_path / "params.txt"
         params.write_text("antigen_capacity = lots\nantigen_capacty = 4\n")
-        with pytest.raises(ValueError, match="^bad value for 'antigen_capacity': "):
+        with pytest.raises(ValueError, match="^line 1: bad value for 'antigen_capacity': "):
             load_params_file(params)
         params.write_text("antigen_capacty = 4\nantigen_capacity = lots\n")
-        with pytest.raises(ValueError, match="^unknown params key 'antigen_capacty'$"):
+        with pytest.raises(ValueError, match="^line 1: unknown params key 'antigen_capacty'$"):
             load_params_file(params)
 
     def test_duplicate_plan_key(self):
@@ -197,15 +208,30 @@ class TestPlanParsing:
     def test_params_file_bad_value_names_key(self, tmp_path, line, key):
         params = tmp_path / "params.txt"
         params.write_text(f"signals = cpu\n{line}\n")
-        with pytest.raises(ValueError, match=f"^bad value for '{key}': "):
+        with pytest.raises(ValueError, match=f"^line 2: bad value for '{key}': "):
             load_params_file(params)
 
     @pytest.mark.parametrize("key", ["twocell.n_typ1", "antigen_capacty", "twocell.seed", "seed"])
     def test_params_file_unknown_key(self, tmp_path, key):
         params = tmp_path / "params.txt"
         params.write_text(f"signals = cpu\n{key} = 4\n")
-        with pytest.raises(ValueError, match=f"unknown params key '{key}'"):
+        with pytest.raises(ValueError, match=f"^line 2: unknown params key '{key}'$"):
             load_params_file(params)
+
+    def test_readme_params_file_example_parses(self, tmp_path):
+        params = tmp_path / "params.txt"
+        params.write_text(readme_example("**Parameter file**"))
+        tissue, twocell, extras = load_params_file(params, extra=("seed",))
+        assert extras == {"seed": "1"}
+        assert tissue.signals == ("cpu",) and twocell.n_type2 == 20
+
+    def test_readme_plan_file_example_parses(self):
+        plan = parse_plan(readme_example("**Plan file**"))
+        assert [(d.name, d.group) for d in plan.datasets] == [
+            ("normal1", ScenarioKind.NORMAL), ("normal2", ScenarioKind.NORMAL),
+            ("success1", ScenarioKind.SUCCESS),
+        ]
+        assert (plan.runs_per_dataset, plan.seed_base) == (20, 1000)
 
 
 class TestOfflineExperiment:
@@ -404,7 +430,7 @@ class TestCli:
 
         params = tmp_path / "params.txt"
         params.write_text(f"seed = 9\n{key} = 4\n")
-        with pytest.raises(ValueError, match=f"unknown params key '{key}'"):
+        with pytest.raises(ValueError, match=f"^line 2: unknown params key '{key}'$"):
             cli.main(["serve", "--params", str(params), "--port", "0"])
 
     def test_serve_cli_bad_seed_despite_seed_option(self, tmp_path, monkeypatch, capsys):

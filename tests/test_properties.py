@@ -13,6 +13,7 @@ import aisd.trace_model
 from aisd.policy import naive_policy
 from aisd.trace_model import (
     Label,
+    ReplayLogFormatError,
     SignalSample,
     SyscallEvent,
     dataset_stats,
@@ -259,6 +260,32 @@ def test_odd_field_in_an_event_run_matches_per_line_reference(field, token, prev
         outcome = parse_outcome([text[:k], text[k:]])
         assert outcome == expected
         assert repr(outcome) == repr(expected)
+
+
+# spellings of a signal's time or value, each accepted or rejected by
+# SignalSample's own checks
+ODD_SIGNAL_TOKENS = ["nan", "inf", "-1", "-0.0", "1.5", "1e-9"]
+
+
+@pytest.mark.parametrize("field", [1, 3], ids=["time", "value"])
+@pytest.mark.parametrize("token", ODD_SIGNAL_TOKENS)
+def test_odd_field_in_a_signal_line_matches_per_line_reference(field, token):
+    # the odd line follows a signal at 0.1, between two event runs
+    fields = ["S", "0.200000", "cpu", "0.500000"]
+    fields[field] = token
+    text = (f"A 0.100000 5 normal\nS 0.100000 cpu 0.250000\n{' '.join(fields)}\n"
+            f"A 0.300000 9 normal\nS 0.300000 io 0.750000\n")
+    expected = reference_outcome(text)
+    for k in range(len(text) + 1):
+        outcome = parse_outcome([text[:k], text[k:]])
+        assert outcome == expected
+        assert repr(outcome) == repr(expected)
+    try:
+        SignalSample(float(fields[1]), fields[2], float(fields[3]))
+    except ValueError as exc:
+        assert expected == (ReplayLogFormatError, f"line 3: {exc}")
+    else:
+        assert float(token) in (expected.signal_times + expected.signal_values)
 
 
 @given(timestamps)

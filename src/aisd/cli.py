@@ -72,12 +72,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         load_params_file(args.params, extra=("seed",)) if args.params
         else (TissueParams(), TwocellParams(), {})
     )
-    try:
-        seed = int(extras.get("seed", 0))
-    except ValueError as exc:
-        raise ValueError(f"bad value for 'seed': {exc}") from None
-    if args.seed is not None:
-        seed = args.seed
+    seed = extras.get("seed", 0) if args.seed is None else args.seed
     compartment = create_compartment(tissue_params, seed)
     attach_twocell(compartment, twocell_params)
     server = TissueServer(

@@ -31,8 +31,9 @@ import math
 import time
 from bisect import bisect_left
 from dataclasses import dataclass, field, fields
+from functools import partial
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping
 
 from .policy import (
     EvaluationRow,
@@ -104,26 +105,58 @@ class ExperimentPlan:
         return [d for d in self.datasets if d.group is not ScenarioKind.NORMAL]
 
 
-def iter_kv_lines(text: str) -> Iterator[tuple[int, str, str, str]]:
-    """Yield (line number, raw line, key, value) per `key = value` line;
-    # comments and blank lines are skipped."""
+class _LineError(ValueError):
+    """A line's error in full, where another ``ValueError`` is a bad value."""
+
+
+class _FormError(_LineError):
+    """A line not of the form that the message names."""
+
+
+def _read_key_values(
+    text: str, readers: Mapping[str, Callable[[str], object]], kind: str,
+    repeatable: tuple[str, ...] = (),
+) -> dict[str, object]:
+    """Read `key = value` lines, skipping blanks and `#` comments, each value
+    through its key's reader.  A line without `=`, a key outside ``readers``,
+    a second line for a key not in ``repeatable`` (which keeps its last
+    value) and a value its reader rejects are errors, each naming its line.
+    """
+    values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, _, value = line.partition("=")
-        yield lineno, raw, key.strip(), value.strip()
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        try:
+            if not sep:
+                raise _FormError("key = value")
+            if key not in readers:
+                raise _LineError(f"unknown {kind} key {key!r}")
+            if key in values and key not in repeatable:
+                raise _LineError(f"duplicate {kind} key {key!r}")
+            values[key] = readers[key](value.strip())
+        except _FormError as exc:
+            raise ValueError(f"line {lineno}: expected {str(exc)!r}, got {raw!r}") from None
+        except _LineError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}") from None
+    return values
 
 
-PLAN_KEYS = frozenset(
-    {"dataset", *ExperimentPlan.__dataclass_fields__} - {"datasets"}
-)
-# how each numeric plan key's value is read
-_PLAN_NUMBERS = {
-    "runs_per_dataset": int, "start_delay": float, "tail_time": float,
-    "rate_multiplier": float, "seed_base": int,
+def _read_plan_number(name: str, read: type, value: str) -> object:
+    number = read(value)
+    # the plan's own checks, here where the line is known
+    ExperimentPlan(datasets=(), **{name: number})
+    return number
+
+
+# each plan key but the two that parse_plan reads against the plan's directory
+_PLAN_READERS = {
+    f.name: partial(_read_plan_number, f.name, type(f.default))
+    for f in fields(ExperimentPlan) if f.name not in ("datasets", "params_file")
 }
 
 
@@ -132,48 +165,34 @@ def parse_plan(text: str, base_dir: str | Path = ".") -> ExperimentPlan:
 
     A dataset line reads `dataset = <path> <group>` with group one of
     normal, success or failure; relative paths resolve against ``base_dir``.
-    A key outside ``PLAN_KEYS``, such as a misspelling, is an error, and so
-    is a second line for any key but `dataset`; a key the file leaves out
-    keeps its ``ExperimentPlan`` default.
+    A key other than `dataset` and the ``ExperimentPlan`` fields but
+    `datasets`, such as a misspelling, is an error, and so is a second line
+    for any key but `dataset`; a key the file leaves out keeps its default.
     """
     base = Path(base_dir)
     datasets: list[PlanDataset] = []
-    scalars: dict[str, object] = {}
-    for lineno, raw, key, value in iter_kv_lines(text):
-        if key not in PLAN_KEYS:
-            raise ValueError(f"line {lineno}: unknown plan key {key!r}")
-        if key in scalars:
-            raise ValueError(f"line {lineno}: duplicate plan key {key!r}")
-        if key == "dataset":
-            parts = value.split()
-            if len(parts) != 2:
-                raise ValueError(
-                    f"line {lineno}: expected 'dataset = <path> <group>', got {raw!r}"
-                )
-            path, group = parts
-            try:
-                kind = ScenarioKind(group)
-            except ValueError:
-                groups = ", ".join(k.value for k in ScenarioKind)
-                raise ValueError(
-                    f"line {lineno}: unknown dataset group {group!r}, expected one of {groups}"
-                ) from None
-            datasets.append(PlanDataset(str(base / path), kind))
-            try:
-                ExperimentPlan(datasets=tuple(datasets))
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: {exc}") from None
-        elif key == "params_file":
-            scalars[key] = str(base / value)
-        else:
-            try:
-                number = _PLAN_NUMBERS[key](value)
-                # the plan's own checks, here where the line is known
-                ExperimentPlan(datasets=(), **{key: number})
-            except ValueError as exc:
-                raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}") from None
-            scalars[key] = number
-    return ExperimentPlan(datasets=tuple(datasets), **scalars)
+
+    def read_dataset(value: str) -> tuple[PlanDataset, ...]:
+        parts = value.split()
+        if len(parts) != 2:
+            raise _FormError("dataset = <path> <group>")
+        path, group = parts
+        try:
+            kind = ScenarioKind(group)
+        except ValueError:
+            groups = ", ".join(k.value for k in ScenarioKind)
+            raise _LineError(
+                f"unknown dataset group {group!r}, expected one of {groups}"
+            ) from None
+        datasets.append(PlanDataset(str(base / path), kind))
+        try:
+            return ExperimentPlan(datasets=tuple(datasets)).datasets
+        except ValueError as exc:
+            raise _LineError(str(exc)) from None
+
+    readers = {**_PLAN_READERS, "dataset": read_dataset, "params_file": lambda v: str(base / v)}
+    values = _read_key_values(text, readers, "plan", repeatable=("dataset",))
+    return ExperimentPlan(datasets=values.pop("dataset", ()), **values)
 
 
 def read_plan(path: str | Path) -> ExperimentPlan:
@@ -185,41 +204,36 @@ def _read_signals(value: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in value.split(",") if s.strip())
 
 
-# every params key: the TissueParams fields, then the TwocellParams fields
-# prefixed "twocell.", each with its dataclass, its field and how it is read
-_PARAMS_KEYS = {
-    prefix + f.name: (cls, f.name, _read_signals if f.name == "signals" else type(f.default))
-    for prefix, cls in (("", TissueParams), ("twocell.", TwocellParams))
+# the params dataclasses, each with the prefix of its keys
+_PARAMS_CLASSES = (("", TissueParams), ("twocell.", TwocellParams))
+# each params key's reader: the dataclasses' fields, each read as its default
+_PARAMS_READERS = {
+    prefix + f.name: _read_signals if f.name == "signals" else type(f.default)
+    for prefix, cls in _PARAMS_CLASSES
     for f in fields(cls)
 }
 
 
 def load_params_file(
     path: str | Path, extra: tuple[str, ...] = ()
-) -> tuple[TissueParams, TwocellParams, dict[str, str]]:
+) -> tuple[TissueParams, TwocellParams, dict[str, object]]:
     """Read a `key = value` params file: the one reader of that format.
 
     A key the file leaves out keeps its default; the keys in ``extra``, such
-    as ``aisd serve``'s `seed`, come back as raw text.  Any other key, such
-    as a misspelling, and a key set twice are errors, found in file order.
+    as ``aisd serve``'s `seed`, come back as ints in the dict.  Any other
+    key, such as a misspelling, and a key set twice are errors, found in file
+    order; the params' own checks run after the file is read.
     """
-    kwargs: dict[type, dict[str, object]] = {TissueParams: {}, TwocellParams: {}}
-    extras: dict[str, str] = {}
-    for lineno, _, key, value in iter_kv_lines(Path(path).read_text(encoding="utf-8")):
-        if key in extra:
-            target, name, read = extras, key, str
-        elif key in _PARAMS_KEYS:
-            cls, name, read = _PARAMS_KEYS[key]
-            target = kwargs[cls]
-        else:
-            raise ValueError(f"line {lineno}: unknown params key {key!r}")
-        if name in target:
-            raise ValueError(f"line {lineno}: duplicate params key {key!r}")
-        try:
-            target[name] = read(value)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad value for {key!r}: {exc}") from None
-    return TissueParams(**kwargs[TissueParams]), TwocellParams(**kwargs[TwocellParams]), extras
+    readers = _PARAMS_READERS | dict.fromkeys(extra, int)
+    values = _read_key_values(Path(path).read_text(encoding="utf-8"), readers, "params")
+    tissue, twocell = (
+        cls(**{
+            f.name: values.pop(prefix + f.name)
+            for f in fields(cls) if prefix + f.name in values
+        })
+        for prefix, cls in _PARAMS_CLASSES
+    )
+    return tissue, twocell, values
 
 
 @dataclass
@@ -231,8 +245,11 @@ class RunResult:
     policy: SyscallPolicy | None = None
     frequencies: tuple[tuple[int, int], ...] | None = None
     responses: list[ResponseRecord] = field(default_factory=list)
-    failed: bool = False
     error: str | None = None
+
+    @property
+    def failed(self) -> bool:
+        return self.error is not None
 
 
 @dataclass
@@ -409,8 +426,7 @@ def _aggregate(
            dict[str, dict[str, EvaluationRow]]]:
     normal_names = [d.name for d in plan.normal_datasets()]
     normal_run_policies = [
-        r.policy for r in runs
-        if r.group is ScenarioKind.NORMAL and not r.failed and r.policy is not None
+        r.policy for r in runs if r.group is ScenarioKind.NORMAL and not r.failed
     ]
     average = average_policy(normal_run_policies) if normal_run_policies else None
 
@@ -418,10 +434,7 @@ def _aggregate(
     # run on the last normal-group dataset (a single-run detector policy).
     reference = None
     for name in reversed(normal_names):
-        candidates = [
-            r.policy for r in runs
-            if r.dataset == name and not r.failed and r.policy is not None
-        ]
+        candidates = [r.policy for r in runs if r.dataset == name and not r.failed]
         if candidates:
             reference = candidates[0]
             break
@@ -448,7 +461,6 @@ def _write_run_dir(out_dir: Path, run: RunResult) -> None:
     (run_dir / "responses.csv").write_text(
         format_response_csv(run.responses), encoding="utf-8"
     )
-    assert run.policy is not None
     write_policy(run.policy, run_dir / "policy.txt")
 
 
@@ -483,7 +495,6 @@ def _run_loop(plan: ExperimentPlan, out_dir: str | Path, runner) -> ExperimentRe
             run_index += 1
             run = RunResult(dataset=ds.name, group=ds.group, index=k, seed=seed)
             if log is None:
-                run.failed = True
                 run.error = f"dataset {ds.path} unreadable"
                 runs.append(run)
                 continue
@@ -492,7 +503,6 @@ def _run_loop(plan: ExperimentPlan, out_dir: str | Path, runner) -> ExperimentRe
                 run.policy, run.frequencies = policy_from_run(run.responses, ds.name)
             except Exception as exc:  # noqa: BLE001 - a failed run must not kill the experiment
                 logger.warning("run %s/%d failed: %s", ds.name, k, exc)
-                run.failed = True
                 run.error = str(exc)
             runs.append(run)
     average, reference, evaluations = _aggregate(plan, runs, logs, naive)
@@ -589,11 +599,11 @@ def format_report(result: ExperimentResult) -> str:
 
     freq_lines = ["== response frequencies per run =="]
     for run in result.runs:
-        if run.failed or run.frequencies is None:
-            status = f"FAILED ({run.error})" if run.failed else "no responses"
-            freq_lines.append(f"-- {run.dataset} run-{run.index} (seed {run.seed}): {status}")
+        heading = f"-- {run.dataset} run-{run.index} (seed {run.seed})"
+        if run.failed:
+            freq_lines.append(f"{heading}: FAILED ({run.error})")
             continue
-        freq_lines.append(f"-- {run.dataset} run-{run.index} (seed {run.seed})")
+        freq_lines.append(heading)
         freq_lines.append(format_frequency_table(run.frequencies).rstrip("\n"))
     sections.append("\n".join(freq_lines))
 

@@ -23,7 +23,7 @@ from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain, islice, zip_longest
 from operator import le
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -128,21 +128,17 @@ def sort_by_time(times: Sequence[float], *columns: Sequence) -> tuple[tuple, ...
     return tuple(tuple(map(column.__getitem__, order)) for column in (times, *columns))
 
 
-def _interleave(
-    event_items: Sequence, signal_items: Sequence,
-    event_times: Sequence[float], signal_times: Sequence[float],
-) -> list:
-    """Both kinds' items in merged time order; a signal goes before the
-    events that share its timestamp."""
-    merged: list = []
+def _event_runs(log: ReplayLog) -> Iterator[tuple[int, int]]:
+    """In merged time order, the ``(start, end)`` run of the log's events
+    before each signal, then the run after the last one; a signal goes
+    before the events that share its timestamp."""
+    event_times = log.event_times
     start = 0
-    for item, timestamp in zip(signal_items, signal_times):
+    for timestamp in log.signal_times:
         end = bisect_left(event_times, timestamp, start)
-        merged.extend(event_items[start:end])
-        merged.append(item)
+        yield start, end
         start = end
-    merged.extend(event_items[start:])
-    return merged
+    yield start, len(event_times)
 
 
 @dataclass(frozen=True)
@@ -184,10 +180,12 @@ class ReplayLog:
     @cached_property
     def merged_order(self) -> list[int]:
         """Position by position, k >= 0 for event k and ~k for signal k."""
-        return _interleave(
-            range(len(self.event_times)), range(-1, -len(self.signal_times) - 1, -1),
-            self.event_times, self.signal_times,
-        )
+        order: list[int] = []
+        for k, (start, end) in enumerate(_event_runs(self)):
+            order += range(start, end)
+            order.append(~k)
+        order.pop()  # the last run has no signal after it
+        return order
 
     @cached_property
     def antigen_counts(self) -> tuple[tuple[tuple[int, Label], int], ...]:
@@ -652,21 +650,15 @@ def format_replay_log(log: ReplayLog) -> str:
     event_numbers = log.event_numbers
     event_labels = log.event_labels
     blocks = [f"# scenario {log.scenario_name}\n"]
-
-    def add_events(start: int, end: int) -> None:
+    signals = zip(log.signal_times, log.signal_names, log.signal_values)
+    # the last run has no signal after it
+    for (start, end), signal in zip_longest(_event_runs(log), signals):
         if end > start:
             labels = map(LABEL_TEXT.__getitem__, event_labels[start:end])
             fields = zip(event_times[start:end], event_numbers[start:end], labels)
             blocks.append(("A %.6f %d %s\n" * (end - start)) % tuple(chain.from_iterable(fields)))
-
-    start = 0
-    for t, name, value in zip(log.signal_times, log.signal_names, log.signal_values):
-        # a signal goes before the events that share its timestamp
-        end = bisect_left(event_times, t, start)
-        add_events(start, end)
-        blocks.append("S %.6f %s %.6f\n" % (t, name, value))
-        start = end
-    add_events(start, len(event_times))
+        if signal is not None:
+            blocks.append("S %.6f %s %.6f\n" % signal)
     return "".join(blocks)
 
 

@@ -176,7 +176,7 @@ class TestPlanParsing:
         params.write_text("seed = 12\ncycles_per_second = 20\n")
         tissue, twocell, extras = load_params_file(params, extra=("seed",))
         assert (tissue, twocell) == (TissueParams(cycles_per_second=20.0), TwocellParams())
-        assert extras == {"seed": "12"}
+        assert extras == {"seed": 12}
 
     @pytest.mark.parametrize("key", ["antigen_capacity", "twocell.n_type1", "seed"])
     def test_params_file_duplicate_key(self, tmp_path, key):
@@ -218,11 +218,45 @@ class TestPlanParsing:
         with pytest.raises(ValueError, match=f"^line 2: unknown params key '{key}'$"):
             load_params_file(params)
 
+    @pytest.mark.parametrize(
+        "reader, kind, key",
+        [("plan", "plan", "tail_time"), ("params", "params", "twocell.n_type1"),
+         ("serve", "params", "seed")],
+    )
+    @pytest.mark.parametrize(
+        "lines, message",
+        [("{key}x = 4", "line 2: unknown {kind} key '{key}x'"),
+         ("{key} = 4\n{key} = 5", "line 3: duplicate {kind} key '{key}'"),
+         ("{key} 4", "line 2: expected 'key = value', got '{key} 4'"),
+         ("{key} = ten", "line 2: bad value for '{key}': .*'ten'")],
+        ids=["unknown", "duplicate", "no-equals", "bad-value"],
+    )
+    def test_file_readers_share_line_rules(
+        self, tmp_path, monkeypatch, reader, kind, key, lines, message
+    ):
+        # plan files, params files and aisd serve's params file with its
+        # seed: the same rules, each error naming its line
+        from aisd import cli
+
+        def interrupt(seconds):  # ends the serve loop, should it start
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli.time, "sleep", interrupt)
+        readers = {
+            "plan": aisd.harness.read_plan,
+            "params": load_params_file,
+            "serve": lambda path: cli.main(["serve", "--params", str(path), "--port", "0"]),
+        }
+        path = tmp_path / "file.txt"
+        path.write_text("# file\n" + lines.format(key=key) + "\n")
+        with pytest.raises(ValueError, match=f"^{message.format(kind=kind, key=re.escape(key))}$"):
+            readers[reader](path)
+
     def test_readme_params_file_example_parses(self, tmp_path):
         params = tmp_path / "params.txt"
         params.write_text(readme_example("**Parameter file**"))
         tissue, twocell, extras = load_params_file(params, extra=("seed",))
-        assert extras == {"seed": "1"}
+        assert extras == {"seed": 1}
         assert tissue.signals == ("cpu",) and twocell.n_type2 == 20
 
     def test_readme_plan_file_example_parses(self):
@@ -443,7 +477,7 @@ class TestCli:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli.time, "sleep", interrupt)
-        with pytest.raises(ValueError, match="^bad value for 'seed': .*'abc'$"):
+        with pytest.raises(ValueError, match="^line 1: bad value for 'seed': .*'abc'$"):
             cli.main(["serve", "--params", str(params), "--seed", "3", "--port", "0"])
         assert "serving on" not in capsys.readouterr().out
 
@@ -452,7 +486,7 @@ class TestCli:
 
         params = tmp_path / "params.txt"
         params.write_text("seed = abc\n")
-        with pytest.raises(ValueError, match="^bad value for 'seed': .*'abc'$"):
+        with pytest.raises(ValueError, match="^line 1: bad value for 'seed': .*'abc'$"):
             cli.main(["serve", "--params", str(params), "--port", "0"])
 
     def test_synth_stats_eval(self, tmp_path, capsys):

@@ -158,7 +158,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plan", required=True)
     p.add_argument("--out", required=True)
     mode = p.add_mutually_exclusive_group()
-    mode.add_argument("--offline", action="store_true", help="deterministic, no sockets")
+    mode.add_argument(
+        "--offline", action="store_true",
+        help="deterministic, no sockets; runs spread over the usable CPUs",
+    )
     mode.add_argument("--realtime", action="store_false", dest="offline")
     p.set_defaults(func=_cmd_experiment, offline=False)
 

@@ -5,7 +5,9 @@ The realtime path starts a server, waits, replays a dataset over loopback
 and keeps the detector running for a tail period.  The offline path feeds
 the same records straight into a fresh compartment with a fixed
 records-to-cycles rule (no sockets, no pacing), which makes whole
-experiments deterministic per seed and much faster than realtime.
+experiments deterministic per seed and much faster than realtime, and lets
+``run_offline`` spread its runs over worker processes (see ``workers``)
+without changing a byte of its artifacts.
 ``offline_cycles`` is that rule's one implementation: it ingests by window,
 straight from the replay log's syscall-number column, and yields once per
 step, so a caller that watches the tissue between steps drives the same run
@@ -58,6 +60,7 @@ from .tissue import (
 from .trace_model import DatasetStats, ReplayLog, check_finite, dataset_stats, read_replay_log
 from .twocell import TwocellParams, attach_twocell
 from .wire import ReplayConfig, TissueServer, replay
+from .workers import run_shares, worker_count
 
 logger = logging.getLogger(__name__)
 
@@ -190,7 +193,12 @@ def parse_plan(text: str, base_dir: str | Path = ".") -> ExperimentPlan:
         except ValueError as exc:
             raise _LineError(str(exc)) from None
 
-    readers = {**_PLAN_READERS, "dataset": read_dataset, "params_file": lambda v: str(base / v)}
+    def read_params_file(value: str) -> str:
+        if not value:
+            raise _FormError("params_file = <path>")
+        return str(base / value)
+
+    readers = {**_PLAN_READERS, "dataset": read_dataset, "params_file": read_params_file}
     values = _read_key_values(text, readers, "plan", repeatable=("dataset",))
     return ExperimentPlan(datasets=values.pop("dataset", ()), **values)
 
@@ -481,30 +489,37 @@ def _write_experiment_artifacts(result: ExperimentResult) -> None:
     )
 
 
-def _run_loop(plan: ExperimentPlan, out_dir: str | Path, runner) -> ExperimentResult:
+def _run_loop(
+    plan: ExperimentPlan, out_dir: str | Path, runner, spread: bool = False
+) -> ExperimentResult:
     logs = _load_logs(plan)
     # before any run: a normal-group log with attack events raises here
     normal_logs = [logs[d.name] for d in plan.normal_datasets() if logs[d.name] is not None]
     naive = naive_policy(normal_logs) if normal_logs else None
     runs: list[RunResult] = []
-    run_index = 0
+    jobs: list[tuple[RunResult, ReplayLog]] = []
     for ds in plan.datasets:
         log = logs[ds.name]
         for k in range(plan.runs_per_dataset):
-            seed = plan.seed_base + run_index
-            run_index += 1
-            run = RunResult(dataset=ds.name, group=ds.group, index=k, seed=seed)
+            run = RunResult(dataset=ds.name, group=ds.group, index=k,
+                            seed=plan.seed_base + len(runs))
+            runs.append(run)
             if log is None:
                 run.error = f"dataset {ds.path} unreadable"
-                runs.append(run)
-                continue
+            else:
+                jobs.append((run, log))
+    workers = worker_count(len(jobs)) if spread else 1
+    outcomes = run_shares(runner, [(log, run.seed) for run, log in jobs], workers)
+    for (run, _), outcome in zip(jobs, outcomes):
+        if not isinstance(outcome, str):
+            run.responses = outcome
             try:
-                run.responses = runner(log, seed)
-                run.policy, run.frequencies = policy_from_run(run.responses, ds.name)
+                run.policy, run.frequencies = policy_from_run(outcome, run.dataset)
             except Exception as exc:  # noqa: BLE001 - a failed run must not kill the experiment
-                logger.warning("run %s/%d failed: %s", ds.name, k, exc)
-                run.error = str(exc)
-            runs.append(run)
+                outcome = str(exc)
+        if isinstance(outcome, str):
+            logger.warning("run %s/%d failed: %s", run.dataset, run.index, outcome)
+            run.error = outcome
     average, reference, evaluations = _aggregate(plan, runs, logs, naive)
     stats = {
         name: dataset_stats(log) for name, log in logs.items() if log is not None
@@ -529,13 +544,17 @@ def run_offline(
     tissue_params: TissueParams | None = None,
     twocell_params: TwocellParams | None = None,
 ) -> ExperimentResult:
-    """Deterministic experiment: no sockets, no pacing."""
+    """Deterministic experiment: no sockets, no pacing.
+
+    The runs are spread over the CPUs this process may use (see
+    ``workers.run_shares``); the artifacts are the bytes a serial run writes.
+    """
     tp, wp = _resolve_params(plan, tissue_params, twocell_params)
 
     def runner(log: ReplayLog, seed: int) -> list[ResponseRecord]:
         return run_single_offline(log, tp, wp, seed, tail_time=plan.tail_time)
 
-    return _run_loop(plan, out_dir, runner)
+    return _run_loop(plan, out_dir, runner, spread=True)
 
 
 def run_experiment(

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import hashlib
+import marshal
 import math
+import os
 import random
 import re
+import threading
 import time
 from itertools import repeat
 from pathlib import Path
@@ -13,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aisd.harness
+import aisd.workers
 from aisd.harness import (
     ExperimentPlan,
     PlanDataset,
@@ -23,7 +27,7 @@ from aisd.harness import (
     run_single_realtime,
 )
 from aisd.scenarios import BUNDLED_PROFILES, ScenarioKind
-from aisd.tissue import Compartment, TissueParams, create_compartment
+from aisd.tissue import Compartment, ResponseRecord, TissueParams, create_compartment
 from aisd.trace_model import Label, SignalSample, SyscallEvent, merge_to_replay_log
 from aisd.twocell import TwocellParams, attach_twocell
 
@@ -92,6 +96,13 @@ class TestPlanParsing:
     def test_bad_dataset_line(self):
         with pytest.raises(ValueError, match="dataset"):
             parse_plan("dataset = onlyonepart\n")
+
+    @pytest.mark.parametrize("value", ["", "  "])
+    def test_empty_params_file_names_line(self, tmp_path, value):
+        # an empty value would name the plan's own directory
+        message = re.escape(f"line 2: expected 'params_file = <path>', got 'params_file ={value}'")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            parse_plan(f"# plan\nparams_file ={value}\n", base_dir=tmp_path)
 
     def test_unknown_dataset_group_names_line(self):
         message = "^line 2: unknown dataset group 'normall', expected one of success, failure, normal$"
@@ -384,6 +395,146 @@ class TestOfflineExperiment:
         assert "== response frequencies per run ==" in report
         assert "== policy comparison ==" in report
         assert "naive permit" in report
+
+
+def count_forks(monkeypatch) -> list[int]:
+    """The pids of the children that aisd.workers forks from here on."""
+    pids = []
+    fork = os.fork
+
+    def counting():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(aisd.workers.os, "fork", counting)
+    return pids
+
+
+def assert_no_child_left():
+    # raised only when this process has no child, running or exited
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def offline_tree(plan, out, monkeypatch, cpus=None):
+    """The bytes of ``plan``'s artifact tree, run on ``cpus`` usable CPUs
+    (the machine's own by default)."""
+    with monkeypatch.context() as m:
+        if cpus is not None:
+            m.setattr(aisd.workers, "usable_cpus", lambda: cpus)
+        run_offline(plan, out, FAST_TISSUE, FAST_TWOCELL)
+    return tree_bytes(out)
+
+
+class TestSpreadRuns:
+    @pytest.mark.parametrize(
+        "names, runs",
+        [(("normal1",), 1), (("normal1", "failure1"), 1),
+         (("normal2", "missing", "success1"), 1), (("normal2",), 41)],
+        ids=["1-run", "2-runs", "3-runs-one-unreadable", "41-runs-one-failing"],
+    )
+    def test_bytes_equal_serial(self, bundled_files, tmp_path, monkeypatch, caplog, names, runs):
+        files = {**bundled_files, "missing": tmp_path / "missing.tcr"}
+        kinds = {name: p.kind for name, p in BUNDLED_PROFILES.items()}
+        kinds["missing"] = ScenarioKind.FAILURE
+        plan = ExperimentPlan(
+            datasets=tuple(PlanDataset(str(files[n]), kinds[n]) for n in names),
+            runs_per_dataset=runs, tail_time=2.0, seed_base=300,
+        )
+        single = aisd.harness.run_single_offline
+
+        def failing(log, tp, wp, seed, **kwargs):
+            if seed == 305:
+                raise ValueError("seed 305 fails")
+            return single(log, tp, wp, seed, **kwargs)
+
+        monkeypatch.setattr(aisd.harness, "run_single_offline", failing)
+        trees = [offline_tree(plan, tmp_path / f"w{cpus}", monkeypatch, cpus)
+                 for cpus in (1, None, 3)]
+        assert trees[0] == trees[1] == trees[2]
+        if runs == 41:
+            assert trees[0]["normal2/run-5/failed.txt"] == b"seed 305 fails\n"
+            failures = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
+            assert failures == ["run normal2/5 failed: seed 305 fails"] * 3
+        assert_no_child_left()
+
+    def test_fork_path_taken(self, bundled_files, tmp_path, monkeypatch):
+        forks = count_forks(monkeypatch)
+        monkeypatch.setattr(aisd.workers, "usable_cpus", lambda: 3)
+        result = run_offline(small_plan(bundled_files), tmp_path / "exp", FAST_TISSUE, FAST_TWOCELL)
+        assert len(forks) == 2
+        assert result.policies_written() == 4
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("sends", [False, True], ids=["dies-at-first-run", "fails-after-sending"])
+    def test_dead_worker_runs_are_run_again(
+        self, bundled_files, tmp_path, monkeypatch, caplog, sends
+    ):
+        plan = small_plan(bundled_files, runs=3)
+        expected = offline_tree(plan, tmp_path / "serial", monkeypatch, cpus=1)
+        parent = os.getpid()
+        single = aisd.harness.run_single_offline
+        leave = os._exit
+
+        def dying(*args, **kwargs):
+            if os.getpid() != parent:
+                leave(3)
+            return single(*args, **kwargs)
+
+        if sends:  # every outcome sent, then a non-zero exit status
+            monkeypatch.setattr(aisd.workers.os, "_exit", lambda status: leave(3))
+        else:
+            monkeypatch.setattr(aisd.harness, "run_single_offline", dying)
+        forks = count_forks(monkeypatch)
+        assert offline_tree(plan, tmp_path / "spread", monkeypatch, cpus=2) == expected
+        assert len(forks) == 1
+        sent = r"[1-9]\d*" if sends else "0"
+        warning = (rf"worker 1 \(pid {forks[0]}\) exited with status 3 after sending {sent} bytes;"
+                   " its 3 runs run again here")
+        assert [m for m in caplog.messages if re.fullmatch(warning, m)]
+        assert_no_child_left()
+
+    def test_interrupt_in_own_share_kills_workers(self, bundled_files, tmp_path, monkeypatch):
+        parent = os.getpid()
+        single = aisd.harness.run_single_offline
+
+        def interrupted(*args, **kwargs):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return single(*args, **kwargs)
+
+        monkeypatch.setattr(aisd.harness, "run_single_offline", interrupted)
+        monkeypatch.setattr(aisd.workers, "usable_cpus", lambda: 3)
+        forks = count_forks(monkeypatch)
+        plan = small_plan(bundled_files, runs=5)
+        with pytest.raises(KeyboardInterrupt):
+            run_offline(plan, tmp_path / "exp", FAST_TISSUE, FAST_TWOCELL)
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_live_thread_means_no_fork(self, bundled_files, tmp_path, monkeypatch):
+        forks = count_forks(monkeypatch)
+        monkeypatch.setattr(aisd.workers, "usable_cpus", lambda: 2)
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            result = run_offline(small_plan(bundled_files), tmp_path / "exp",
+                                 FAST_TISSUE, FAST_TWOCELL)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert forks == []
+        assert result.policies_written() == 4
+
+    def test_short_data_is_rejected(self):
+        sent = marshal.dumps([[(1, 0.1, 2, 3)], "boom"])
+        assert aisd.workers._unpack(sent, 2) == [[ResponseRecord(1, 0.1, 2, 3)], "boom"]
+        for data, count in ((sent[:-1], 2), (b"", 2), (sent, 3), (marshal.dumps(7), 1)):
+            assert aisd.workers._unpack(data, count) is None
 
 
 class TestOfflineVsRealtime:

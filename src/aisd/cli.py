@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import replace
+from typing import TypeVar
 
 from .harness import load_params_file, read_plan, run_experiment, run_offline
 from .policy import evaluate, read_policy
@@ -25,6 +27,24 @@ from .twocell import TwocellParams, attach_twocell
 from .wire import DEFAULT_HOST, ReplayConfig, TissueServer, default_port, replay
 
 PORT_HELP = "default: the AISD_PORT environment variable, else 7004"
+
+T = TypeVar("T")
+
+
+class InputFileError(Exception):
+    """An input file named on the command line is missing or malformed; the
+    message starts with its path."""
+
+
+def _read(reader: Callable[[str], T], path: str) -> T:
+    """``reader(path)``, with an unreadable or malformed file raised as an
+    ``InputFileError`` that names it."""
+    try:
+        return reader(path)
+    except OSError as exc:
+        raise InputFileError(f"{path}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise InputFileError(f"{path}: {exc}") from None
 
 
 def _add_replay_args(parser: argparse.ArgumentParser) -> None:
@@ -61,7 +81,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     for path in args.log:
-        log = read_replay_log(path)
+        log = _read(read_replay_log, path)
         s = dataset_stats(log)
         print(f"{log.scenario_name} {s.total_time} {s.total_antigen} {s.max_antigen_rate}")
     return 0
@@ -93,7 +113,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
-    log = read_replay_log(args.log)
+    log = _read(read_replay_log, args.log)
     config = ReplayConfig(
         host=args.host, port=_port(args), rate_multiplier=args.rate,
         start_delay=args.start_delay, tail_time=args.tail,
@@ -117,8 +137,8 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    pol = read_policy(args.policy)
-    log = read_replay_log(args.log)
+    pol = _read(read_policy, args.policy)
+    log = _read(read_replay_log, args.log)
     row = evaluate(pol, log)
     print(
         f"{row.dataset}: total={row.total} normal={row.normal_count} attack={row.attack_count} "
@@ -173,9 +193,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _run(prog: str, command: Callable[[argparse.Namespace], int], args: argparse.Namespace) -> int:
+    """``command(args)``'s exit status, or 2 after a bad input file is
+    reported on stderr as ``<prog>: <path>: <message>``."""
+    try:
+        return command(args)
+    except InputFileError as exc:
+        print(f"{prog}: {exc}", file=sys.stderr)
+        return 2
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    return _run(f"aisd {args.command}", args.func, args)
 
 
 def tcreplay_main(argv: list[str] | None = None) -> int:
@@ -184,7 +214,7 @@ def tcreplay_main(argv: list[str] | None = None) -> int:
     )
     _add_replay_args(parser)
     args = parser.parse_args(argv)
-    return _cmd_replay(args)
+    return _run("tcreplay", _cmd_replay, args)
 
 
 if __name__ == "__main__":

@@ -7,10 +7,8 @@ kind, each sorted by time; ``ReplayLog.records`` merges them into one
 time-ordered stream of ``SyscallEvent``/``SignalSample`` records on demand.
 
 ``parse_replay_log`` reads the replay-log text a block of whole lines at a
-time.  Runs of event lines spelled as ``write_replay_log`` writes them are
-converted in bulk, column by column; every other line is built into its
-``SyscallEvent`` or ``SignalSample``, whose own checks decide what a valid
-record is.
+time: runs of event lines as ``write_replay_log`` writes them in bulk, every
+other line through the checks of the record it builds.
 """
 from __future__ import annotations
 
@@ -668,14 +666,12 @@ def write_replay_log(log: ReplayLog, path: str | Path) -> None:
 
 # characters per piece that parse_replay_log takes at a time
 _PARSE_CHARS = 64 * 1024
-
-# the longest run of event lines at a position, each its kind and three
-# tokens separated by single spaces, as write_replay_log writes them; \S
-# excludes every str.isspace character, line boundaries included, so a run
-# splits into exactly four tokens per line
-_EVENT_RUN = re.compile(r"(?:A \S+ \S+ \S+\n)*")
 # each valid syscall number as write_replay_log spells it
 _NUMBERS = {str(n): n for n in range(SYSCALL_RANGE)}
+# a run's label token but its last: the label, "\n" and the next line's "A"
+_RUN_LABELS = {f"{text}\nA": label for text, label in LABELS.items()}
+# the ASCII line boundaries of str.splitlines but "\n"
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e"
 
 
 def _line_blocks(pieces: Iterable[str]) -> Iterator[str]:
@@ -707,15 +703,15 @@ def parse_replay_log(text: str | Iterable[str], default_name: str = "unnamed") -
     a time, and a column's list is freed as its tuple is built, so parsing
     holds little beyond the log it returns.
 
-    Each run of event lines written as ``write_replay_log`` writes them is
-    converted at once, column by column, and kept only if every token
-    converts and its times are in order from the last event's; any other
-    line, and every line of a run not kept, goes through the per-line code,
-    the only place that rejects a line: it resolves an event's label, then
-    builds the line's ``SyscallEvent`` or ``SignalSample``, whose own checks
-    reject a bad field, and appends the record's fields.  A kind whose lines
-    are out of time order is stably sorted; a file in order, as
-    ``write_replay_log`` writes it, is not.
+    The event lines up to the next signal line are split on spaces once and
+    converted column by column.  Such a run is kept only if each of its lines
+    is ``A <time> <number> <label>`` as ``write_replay_log`` writes it, no
+    line boundary but ``"\n"`` ends one, and its times are in order from the
+    last event's.  Any other line, and every line of a run not kept, goes
+    through the per-line code, the only place that rejects a line: it builds
+    the line's ``SyscallEvent`` or ``SignalSample``, whose own checks reject
+    a bad field.  A kind whose lines are out of time order is stably sorted;
+    a file in order, as ``write_replay_log`` writes it, is not.
     """
     if isinstance(text, str):
         pieces: Iterable[str] = (
@@ -736,27 +732,33 @@ def parse_replay_log(text: str | Iterable[str], default_name: str = "unnamed") -
     events_in_order = signals_in_order = True
     last_event = last_signal = 0.0
     inf = math.inf
-    match_run = _EVENT_RUN.match
     lineno = 0
     for block in _line_blocks(pieces):
         pos = 0
         size = len(block)
         while pos < size:
-            end = match_run(block, pos).end()
-            if end == pos:
+            if not block.startswith("A ", pos):
                 # no event run here: the lines up to the next that starts "A "
                 end = block.find("\nA ", pos) + 1 or size
             else:
-                tokens = block[pos:end].split()
+                # event lines up to the next "S " line; each label but the last ends "\nA"
+                end = block.find("\nS ", pos) + 1 or size
+                seg = block[pos + 2:end - 1]
+                tokens = seg.split(" ")
                 try:
-                    times = list(map(float, tokens[1::4]))
-                    numbers = list(map(_NUMBERS.__getitem__, tokens[2::4]))
-                    labels = list(map(LABELS.__getitem__, tokens[3::4]))
+                    times = list(map(float, tokens[0::3]))
+                    numbers = list(map(_NUMBERS.__getitem__, tokens[1::3]))
+                    *labels, last = tokens[2::3]
+                    labels = [*map(_RUN_LABELS.__getitem__, labels), LABELS[last]]
                 except (ValueError, KeyError):
                     pass
                 else:
-                    # in order from the last event and finite: so also >= 0, no nan
-                    if (last_event <= times[0] and times[-1] < inf
+                    # splitlines' lines, as each "\n" sits in a label; times in
+                    # order from the last event's and finite, so >= 0, no nan
+                    if (len(times) == len(numbers) == len(labels) == seg.count("\n") + 1
+                            and block[end - 1] == "\n" and seg.isascii()
+                            and not any(map(seg.__contains__, _OTHER_BREAKS))
+                            and last_event <= times[0] and times[-1] < inf
                             and all(map(le, times, islice(times, 1, None)))):
                         event_times += times
                         event_numbers += numbers
@@ -824,11 +826,9 @@ def read_replay_log(path: str | Path) -> ReplayLog:
 
     The file is decoded as UTF-8, with the universal newlines of
     ``Path.read_text``, and handed to the module's ``parse_replay_log`` in
-    pieces of ``_PARSE_CHARS`` characters, so its whole text is never held;
-    the event runs of a file that ``write_replay_log`` wrote are converted
-    in bulk, any other line one at a time.  Bytes that are not UTF-8 raise
-    ``UnicodeDecodeError`` (a ``ValueError``) when their piece is read; a
-    format error in an earlier line is reported first.
+    pieces of ``_PARSE_CHARS`` characters, so its whole text is never held.
+    Bytes that are not UTF-8 raise ``UnicodeDecodeError`` (a ``ValueError``)
+    when their piece is read; a format error in an earlier line comes first.
     """
     p = Path(path)
     with p.open(encoding="utf-8") as f:

@@ -654,6 +654,68 @@ class TestCli:
         assert main(["eval", "--policy", str(policy_file), "--log", str(out)]) == 0
         assert "normal1:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", [
+        ["stats", "--log"],
+        ["eval", "--policy", "{policy}", "--log"],
+        ["replay", "--port", "1", "--log"],
+    ])
+    @pytest.mark.parametrize("content, message", [
+        (None, "No such file or directory"),
+        ("A 0.1 5 normal\nA 0.2 5\n", "line 2: unrecognized record 'A 0.2 5'"),
+        (b"A 0.1 5 normal\n\xff\n", "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["missing", "malformed", "not-utf8"])
+    def test_bad_log_is_named_and_exits_2(self, tmp_path, capsys, command, content, message):
+        from aisd.cli import main
+
+        policy = tmp_path / "policy.txt"
+        policy.write_text("permit 5\ndeny-default\n")
+        log = tmp_path / "bad.tcr"
+        if isinstance(content, str):
+            log.write_text(content)
+        elif content is not None:
+            log.write_bytes(content)
+        argv = [arg.format(policy=policy) for arg in command] + [str(log)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"aisd {command[0]}: {log}: {message}")
+        assert captured.err.count("\n") == 1
+
+    def test_stats_names_the_bad_one_of_two_logs(self, bundled_files, tmp_path, capsys):
+        from aisd.cli import main
+
+        bad = tmp_path / "bad.tcr"
+        bad.write_text("A 0.1 5 normal\nS 0.2 cpu 2\n")
+        assert main(["stats", "--log", str(bundled_files["normal1"]), str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert "normal1 38 434 405" in captured.out
+        assert captured.err == (
+            f"aisd stats: {bad}: line 2: signal value 2.0 outside [0, 1]\n"
+        )
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "No such file or directory"),
+        ("permit 5\n", "policy file missing deny-default terminator"),
+        ("permit five\ndeny-default\n", "line 1: bad syscall number 'five'"),
+    ], ids=["missing", "unterminated", "bad-number"])
+    def test_bad_policy_is_named_and_exits_2(self, bundled_files, tmp_path, capsys,
+                                             content, message):
+        from aisd.cli import main
+
+        policy = tmp_path / "policy.txt"
+        if content is not None:
+            policy.write_text(content)
+        argv = ["eval", "--policy", str(policy), "--log", str(bundled_files["normal1"])]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"aisd eval: {policy}: {message}\n"
+
+    def test_tcreplay_names_a_missing_log(self, tmp_path, capsys):
+        from aisd.cli import tcreplay_main
+
+        log = tmp_path / "absent.tcr"
+        assert tcreplay_main(["--log", str(log), "--port", "1"]) == 2
+        assert capsys.readouterr().err == f"tcreplay: {log}: No such file or directory\n"
+
     def test_synth_list_profiles(self, capsys):
         from aisd.cli import main
 

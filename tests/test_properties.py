@@ -202,14 +202,31 @@ ODD_FIELDS = (
     ["007", "+5", "512", "-1", "\u0665"],
     ["Normal", "bogus"],
 )
+
+
+def odd_event(t: str, n: str, label: str, odd: tuple[int, str] | None) -> list[str]:
+    """An event line of the given fields, each after a single space but for
+    ``odd``'s gap, which takes ``odd``'s separator."""
+    seps = [" "] * 3
+    if odd is not None:
+        gap, sep = odd
+        seps[gap] = sep
+    return ["A" + "".join(map(str.__add__, seps, [t, n, label]))]
+
+
 odd_events = st.builds(
-    lambda t, n, label, sep: sep.join(["A", t, n, label]),
+    odd_event,
     st.sampled_from(ODD_FIELDS[0]) | file_floats.map("{:.6f}".format),
     st.sampled_from(ODD_FIELDS[1]) | st.integers(min_value=0, max_value=511).map(str),
     st.sampled_from(ODD_FIELDS[2]) | st.sampled_from(["normal", "attack"]),
-    # mostly the writer's single space, so that the line joins a run
-    st.just(" ") | st.sampled_from(["  ", "\t", " \t "]),
-).map(lambda line: [line])
+    # mostly the writer's single spaces, so that the line joins a run; else
+    # another separator in one gap, or a line boundary next to a space at a
+    # time token's edge, where float() would strip it from the token
+    st.none()
+    | st.tuples(st.integers(min_value=0, max_value=2), st.sampled_from(["  ", "\t", " \t "]))
+    | st.sampled_from([(0, " \x0c"), (0, " \n"), (0, " \r"), (0, " \x85"),
+                       (1, "\x0c "), (1, "\n "), (1, "\r "), (1, "\x85 ")]),
+)
 # mostly runs and other valid lines, so that most texts parse to a log
 mixed_lines = st.one_of(
     event_runs,
@@ -245,6 +262,24 @@ def test_replay_log_matches_per_line_reference(lines, ends, sizes):
         assert repr(outcome) == repr(expected)
 
 
+@settings(deadline=None)
+@given(
+    event_runs, st.integers(min_value=0),
+    st.sampled_from([*LINE_ENDS, "\t", "\x1f"]), st.booleans(), st.booleans(),
+)
+def test_boundary_at_a_time_token_edge_matches_per_line_reference(
+        lines, k, boundary, after, last_end):
+    # the one odd spot of an otherwise written run: the text parses, or its
+    # first error is the line the boundary splits
+    k %= len(lines)
+    _, time, rest = lines[k].split(" ", 2)
+    lines[k] = f"A {time}{boundary} {rest}" if after else f"A {boundary}{time} {rest}"
+    text = "\n".join(lines) + "\n" * last_end
+    expected = reference_outcome(text)
+    assert repr(parse_outcome(text)) == repr(expected)
+    assert repr(parse_outcome(iter(cut(text, [k + 1])))) == repr(expected)
+
+
 @pytest.mark.parametrize("previous", ["0.000000", "0.400000"])
 @pytest.mark.parametrize(
     "field, token", [(k, token) for k, tokens in enumerate(ODD_FIELDS) for token in tokens]
@@ -260,6 +295,31 @@ def test_odd_field_in_an_event_run_matches_per_line_reference(field, token, prev
         outcome = parse_outcome([text[:k], text[k:]])
         assert outcome == expected
         assert repr(outcome) == repr(expected)
+
+
+# texts where a run split on spaces could misread its lines: a line boundary
+# that float() strips from a time token, or a line with more or fewer tokens
+RUN_HAZARDS = [
+    "A 0.100000 5 normal\nA 0.2\n 5 normal\n",
+    "A 0.1\n 5 normal\n",
+    *(f"A 0.100000 5 normal\nA {sep}0.200000 5 normal\nA 0.300000 9 attack\n"
+      for sep in [*LINE_ENDS, "\t", "\x1f"]),
+    *(f"A 0.100000 5 normal\nA 0.200000{sep} 5 normal\nA 0.300000 9 attack\n"
+      for sep in [*LINE_ENDS, "\t", "\x1f"]),
+    "A 0.100000 5 normal\nA 0.200000 5 normal 0.250000 6 attack\nA 0.300000 9 attack\n",
+    "A 0.100000 5 normal\nA 0.200000  5 normal\nA 0.300000 9 attack\n",
+    "A 0.100000 5 normal\nA 0.200000 5 normal \nA 0.300000 9 attack\n",
+    "A 0.100000 5 normal\r\nA 0.200000 5 normal\r\nS 0.2 cpu 0.5\r\nA 0.3 9 attack\r\n",
+    "A 0.100000 5 normal\nA 0.200000 5 normal\nA 0.300000 9 attack",
+    "A 0.100000 5 normal\nA 0.200000 5 normal\nA 0.300000 9 attacks",
+]
+
+
+@pytest.mark.parametrize("text", RUN_HAZARDS, ids=repr)
+def test_run_hazard_matches_per_line_reference(text):
+    expected = reference_outcome(text)
+    for source in (text, *([text[:k], text[k:]] for k in range(len(text) + 1))):
+        assert repr(parse_outcome(source)) == repr(expected)
 
 
 # spellings of a signal's time or value, each accepted or rejected by

@@ -450,19 +450,25 @@ def flood_profiles() -> tuple[ScenarioProfile, ...]:
 
 
 @pytest.mark.parametrize("seed_shift", [0, 1000])
-def test_written_event_lines_are_parsed_in_bulk(flood_profiles, seed_shift):
+def test_written_event_lines_are_parsed_in_bulk(flood_profiles, seed_shift, monkeypatch):
     # a writer change such as "%03d" numbers would send every event line
-    # through the per-line checks, which still parse it, only slower
-    event_run = aisd.trace_model._EVENT_RUN
+    # through the per-line checks, which still parse it, only slower; those
+    # checks build one SyscallEvent per event line, the bulk path none
+    built = []
+
+    def counted_event(*args):
+        built.append(args)
+        return SyscallEvent(*args)
+
     for profile in (*BUNDLED_PROFILES.values(), *flood_profiles):
         log = synthesize_scenario(dataclasses.replace(profile, seed=profile.seed + seed_shift))
-        lines = format_replay_log(log).splitlines(keepends=True)
-        events = [line for line in lines if line.startswith("A")]
-        assert len(events) == len(log.event_times)
-        for line in events:
-            assert event_run.fullmatch(line), line
-            _, _, number, label = line.split()
-            assert number in aisd.trace_model._NUMBERS and label in aisd.trace_model.LABELS
+        text = format_replay_log(log)
+        with monkeypatch.context() as mp:
+            mp.setattr(aisd.trace_model, "SyscallEvent", counted_event)
+            parsed = parse_replay_log(text)
+        assert parsed == log
+        assert len(parsed.event_times) > 0
+        assert not built, (profile.name, built[:1])
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.5])

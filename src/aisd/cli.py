@@ -16,6 +16,7 @@ import sys
 import time
 from collections.abc import Callable
 from dataclasses import replace
+from functools import partial
 from typing import TypeVar
 
 from .harness import load_params_file, read_plan, run_experiment, run_offline
@@ -89,7 +90,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     tissue_params, twocell_params, extras = (
-        load_params_file(args.params, extra=("seed",)) if args.params
+        _read(partial(load_params_file, extra=("seed",)), args.params) if args.params
         else (TissueParams(), TwocellParams(), {})
     )
     seed = extras.get("seed", 0) if args.seed is None else args.seed
@@ -127,9 +128,10 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    plan = read_plan(args.plan)
+    plan = _read(read_plan, args.plan)
+    params = _read(load_params_file, plan.params_file)[:2] if plan.params_file else ()
     runner = run_offline if args.offline else run_experiment
-    result = runner(plan, args.out)
+    result = runner(plan, args.out, *params)
     failed = sum(1 for r in result.runs if r.failed)
     print(f"{len(result.runs)} runs ({failed} failed) -> {result.out_dir}")
     print((result.out_dir / "report.txt").read_text(encoding="utf-8"))

@@ -21,18 +21,17 @@ bad frame, or after ``BYE``, are ignored.
 
 ``WireMessage`` is a frozen slots dataclass.  The ``2 * SYSCALL_RANGE``
 ``ANTIGEN`` messages, one per syscall number and label, are built once at
-import and shared: ``WireMessage.antigen`` returns them.
-``decode`` answers a bytes line that is the canonical frame of one of them, as
-a server session splits it off a read without the newline, from a fixed table
-of those frames, built with the messages and never written after; any other
-line, the newline-terminated one included, and every str line takes the
-parse.
+import and shared: ``WireMessage.antigen`` returns them.  A fixed table maps
+the canonical frame of each, as a server session splits it off a read without
+the newline, to its message; it is built with the messages and never written
+after.
 
 ``TissueServer`` runs on ``socketserver.ThreadingTCPServer``, one thread per
 client.  A session's read loop handles every frame kind in one place: it adds
 an ``ANTIGEN`` frame from a session that declared the antigen role to the
-compartment (the only place that adds antigen), sets signals, and raises the
-protocol errors, ``ANTIGEN`` before ``HELLO`` or without the role among them.
+compartment (the only place that adds antigen), a canonical one straight from
+the frame table without ``decode``, sets signals, and raises the protocol
+errors, ``ANTIGEN`` before ``HELLO`` or without the role among them.
 """
 from __future__ import annotations
 
@@ -187,7 +186,7 @@ def _float_field(kind: str, index: int, name: str, token: str) -> float:
 
 
 # Canonical ANTIGEN frame, as a session splits it off a read, -> its interned
-# message.  Fixed at import: decode only reads it, so sessions share it freely.
+# message.  Fixed at import: sessions only read it, so they share it freely.
 _ANTIGEN_FRAMES: dict[bytes, WireMessage] = {
     encode(message).encode("ascii"): message for row in _ANTIGENS.values() for message in row
 }
@@ -196,19 +195,9 @@ _ANTIGEN_FRAMES: dict[bytes, WireMessage] = {
 def decode(line: str | bytes) -> WireMessage:
     """Parse one complete protocol line.
 
-    A bytes line that is a canonical ``ANTIGEN`` frame as a session splits it,
-    with no newline, is answered from the fixed frame table without a parse;
-    every other line, and every str line, takes the parse.  A str is never
-    looked up, so it is never compared with the bytes keys.
+    A server session looks canonical ``ANTIGEN`` frames up in the frame table
+    itself and calls ``decode`` only for the other frames.
     """
-    if isinstance(line, bytes):
-        message = _ANTIGEN_FRAMES.get(line)
-        if message is not None:
-            return message
-    return _parse(line)
-
-
-def _parse(line: str | bytes) -> WireMessage:
     if isinstance(line, bytes):
         try:
             line = line.decode("ascii")
@@ -306,12 +295,15 @@ class TissueServer:
     architecture; ``stop`` shuts the listening socket down, so the accept
     loop ends at once instead of at its next 0.2 s poll, then shuts the
     sessions down and joins their threads.  A session reads its socket in
-    chunks of up to ``READ_BYTES`` and decodes the frames of each chunk one
-    by one, as split and without their newline (the form ``decode`` finds
-    in its frame table), in a single read loop: an ``ANTIGEN`` frame from an
-    antigen-role session goes straight to ``compartment.add_antigen`` (its
-    number only: ``decode`` has checked its label), and every other frame is
-    checked against the session's state there too.  If ``cycles_per_second`` is
+    chunks of up to ``READ_BYTES`` and takes the frames of each chunk one by
+    one, as split and without their newline, in a single read loop.  It looks
+    each frame up in the frame table itself: a canonical ``ANTIGEN``
+    frame from an antigen-role session goes straight to ``add_antigen`` (its
+    number only) with no ``decode`` call.  Every other frame goes through the
+    module-global ``decode`` and is checked against the session's state there
+    too.  A session reads ``compartment.add_antigen`` once, when it starts: a
+    wrapper installed before the server starts is seen, one rebound while a
+    session is live is not.  If ``cycles_per_second`` is
     given (finite and > 0), a pacer thread cycles the compartment while the
     server runs; when a cycle overruns, the pacer does not catch up, and
     counts the whole intervals it missed in ``cycles_skipped_total``.
@@ -407,6 +399,8 @@ class TissueServer:
             self._sessions.append(session)
         antigen = MessageKind.ANTIGEN
         adds_antigen = False  # "antigen" in session.roles, which only HELLO sets
+        add_antigen = self.compartment.add_antigen  # read once: a later rebinding is not seen
+        canonical = _ANTIGEN_FRAMES.get  # no key is MAX_FRAME_BYTES long
         pending = b""  # the frame the last read cut off, without a newline yet
         recv = session.conn.recv
         try:
@@ -414,17 +408,20 @@ class TissueServer:
                 frames = (pending + chunk).split(b"\n")
                 pending = frames.pop()
                 for frame in frames:
+                    message = canonical(frame)
+                    if message is not None and adds_antigen:
+                        add_antigen(message.number)
+                        # the common frame skips decode and the tests below.  The
+                        # loop over a read's frames jumps backward once per frame,
+                        # which CPython 3.11 counts toward specializing this
+                        # function, even when each read holds one frame
+                        continue
                     if len(frame) >= MAX_FRAME_BYTES:
                         raise ProtocolError(f"frame longer than {MAX_FRAME_BYTES} bytes")
                     message = decode(frame)
                     kind = message.kind
-                    if kind is antigen and adds_antigen:
-                        self.compartment.add_antigen(message.number)
-                        # the common frame skips the tests below.  The loop
-                        # over a read's frames jumps backward once per frame,
-                        # which CPython 3.11 counts toward specializing this
-                        # function, even when each read holds one frame
-                        continue
+                    if kind is antigen and adds_antigen:  # a non-canonical spelling
+                        add_antigen(message.number)
                     elif kind is MessageKind.HELLO:
                         if session.roles:
                             raise ProtocolError("duplicate HELLO")

@@ -243,7 +243,7 @@ class TestPlanParsing:
         ids=["unknown", "duplicate", "no-equals", "bad-value"],
     )
     def test_file_readers_share_line_rules(
-        self, tmp_path, monkeypatch, reader, kind, key, lines, message
+        self, tmp_path, monkeypatch, capsys, reader, kind, key, lines, message
     ):
         # plan files, params files and aisd serve's params file with its
         # seed: the same rules, each error naming its line
@@ -252,12 +252,15 @@ class TestPlanParsing:
         def interrupt(seconds):  # ends the serve loop, should it start
             raise KeyboardInterrupt
 
+        def serve(path):  # exits 2 with the error after the path, re-raised here
+            assert cli.main(["serve", "--params", str(path), "--port", "0"]) == 2
+            err = capsys.readouterr().err
+            prefix = f"aisd serve: {path}: "
+            assert err.startswith(prefix) and err.count("\n") == 1
+            raise ValueError(err[len(prefix):-1])
+
         monkeypatch.setattr(cli.time, "sleep", interrupt)
-        readers = {
-            "plan": aisd.harness.read_plan,
-            "params": load_params_file,
-            "serve": lambda path: cli.main(["serve", "--params", str(path), "--port", "0"]),
-        }
+        readers = {"plan": aisd.harness.read_plan, "params": load_params_file, "serve": serve}
         path = tmp_path / "file.txt"
         path.write_text("# file\n" + lines.format(key=key) + "\n")
         with pytest.raises(ValueError, match=f"^{message.format(kind=kind, key=re.escape(key))}$"):
@@ -610,13 +613,15 @@ class TestCli:
         assert "responses:" in out
 
     @pytest.mark.parametrize("key", ["twocell.n_typ1", "twocell.seed"])
-    def test_serve_cli_unknown_key(self, tmp_path, key):
+    def test_serve_cli_unknown_key(self, tmp_path, capsys, key):
         from aisd import cli
 
         params = tmp_path / "params.txt"
         params.write_text(f"seed = 9\n{key} = 4\n")
-        with pytest.raises(ValueError, match=f"^line 2: unknown params key '{key}'$"):
-            cli.main(["serve", "--params", str(params), "--port", "0"])
+        assert cli.main(["serve", "--params", str(params), "--port", "0"]) == 2
+        assert capsys.readouterr().err == (
+            f"aisd serve: {params}: line 2: unknown params key '{key}'\n"
+        )
 
     def test_serve_cli_bad_seed_despite_seed_option(self, tmp_path, monkeypatch, capsys):
         from aisd import cli
@@ -628,17 +633,72 @@ class TestCli:
             raise KeyboardInterrupt
 
         monkeypatch.setattr(cli.time, "sleep", interrupt)
-        with pytest.raises(ValueError, match="^line 1: bad value for 'seed': .*'abc'$"):
-            cli.main(["serve", "--params", str(params), "--seed", "3", "--port", "0"])
-        assert "serving on" not in capsys.readouterr().out
+        assert cli.main(["serve", "--params", str(params), "--seed", "3", "--port", "0"]) == 2
+        captured = capsys.readouterr()
+        assert "serving on" not in captured.out
+        assert re.fullmatch(
+            f"aisd serve: {re.escape(str(params))}: line 1: bad value for 'seed': .*'abc'\n",
+            captured.err,
+        )
 
-    def test_serve_cli_bad_seed(self, tmp_path):
+    def test_serve_cli_bad_seed(self, tmp_path, capsys):
         from aisd import cli
 
         params = tmp_path / "params.txt"
         params.write_text("seed = abc\n")
-        with pytest.raises(ValueError, match="^line 1: bad value for 'seed': .*'abc'$"):
-            cli.main(["serve", "--params", str(params), "--port", "0"])
+        assert cli.main(["serve", "--params", str(params), "--port", "0"]) == 2
+        assert re.fullmatch(
+            f"aisd serve: {re.escape(str(params))}: line 1: bad value for 'seed': .*'abc'\n",
+            capsys.readouterr().err,
+        )
+
+    @pytest.mark.parametrize("command, option", [
+        (["experiment", "--out", "{out}"], "--plan"),
+        (["serve", "--port", "0"], "--params"),
+    ])
+    @pytest.mark.parametrize("content, message", [
+        (None, "No such file or directory"),
+        (b"\xff\n", "'utf-8' codec can't decode byte 0xff"),
+        ("no_such_key = 1\n", "line 1: unknown"),
+    ], ids=["missing", "not-utf8", "unknown-key"])
+    def test_bad_plan_or_params_is_named_and_exits_2(self, tmp_path, capsys, command,
+                                                     option, content, message):
+        from aisd.cli import main
+
+        path = tmp_path / "input.txt"
+        if isinstance(content, str):
+            path.write_text(content)
+        elif content is not None:
+            path.write_bytes(content)
+        argv = [arg.format(out=tmp_path / "out") for arg in command] + [option, str(path)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"aisd {command[0]}: {path}: {message}")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("offline", [[], ["--offline"]], ids=["realtime", "offline"])
+    @pytest.mark.parametrize("content, message", [
+        (None, "No such file or directory"),
+        ("seed = 9\n", "line 1: unknown params key 'seed'"),
+    ], ids=["missing", "unknown-key"])
+    def test_bad_params_file_a_plan_names_is_named_and_exits_2(self, tmp_path, capsys,
+                                                               offline, content, message):
+        from aisd.cli import main
+
+        params = tmp_path / "params.txt"
+        if content is not None:
+            params.write_text(content)
+        plan = tmp_path / "plan.txt"
+        plan.write_text("dataset = missing.tcr normal\nparams_file = params.txt\n")
+        argv = ["experiment", "--plan", str(plan), "--out", str(tmp_path / "out"), *offline]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"aisd experiment: {params}: {message}")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
 
     def test_synth_stats_eval(self, tmp_path, capsys):
         from aisd.cli import main

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import itertools
+import logging
 import math
 import os
 import random
@@ -159,9 +161,16 @@ def outcome(parse, line) -> WireMessage | str:
         return str(exc)
 
 
-# The frame table as this module first saw it: decode only reads the table,
+# The frame table as this module first saw it: sessions only read the table,
 # so every test below finds it with these keys and these very messages.
 TABLE_AT_IMPORT = dict(wire._ANTIGEN_FRAMES)
+
+
+def session_outcome(line) -> WireMessage | str:
+    """What a session makes of ``line`` as split: its frame-table entry if it
+    has one, else ``decode``'s outcome.  Only a bytes line is looked up."""
+    message = wire._ANTIGEN_FRAMES.get(line) if isinstance(line, bytes) else None
+    return outcome(decode, line) if message is None else message
 
 
 def assert_table_intact() -> None:
@@ -172,7 +181,7 @@ def assert_table_intact() -> None:
 
 # Hostile spellings of ANTIGEN frames: each parses (or fails) but is not the
 # canonical frame of what it parses to. The str spelling of a canonical frame
-# is never looked up either: table keys are bytes as a session splits them.
+# is not a key either: table keys are bytes as a session splits them.
 NON_CANONICAL = [
     b"ANTIGEN 07 normal\n",
     b"ANTIGEN +7 normal\n",
@@ -198,18 +207,16 @@ class TestAntigenMemo:
         table = wire._ANTIGEN_FRAMES
         assert table.keys() == set(frames)
         for frame in frames:
-            expected = wire._parse(frame)
-            assert table[frame] == expected
-            assert decode(frame) is table[frame]
-            assert decode(frame.decode("ascii")) == expected
+            expected = decode(frame)
+            assert table[frame] is expected
+            assert decode(frame.decode("ascii")) is expected
             assert table[frame].kind is MessageKind.ANTIGEN
             assert frame == encode(table[frame]).encode("ascii")
         assert_table_intact()
 
     @pytest.mark.parametrize("line", NON_CANONICAL)
     def test_non_canonical_spelling_not_stored(self, line):
-        assert outcome(decode, line) == outcome(wire._parse, line)
-        assert outcome(decode, line) == outcome(wire._parse, line)
+        assert session_outcome(line) == outcome(decode, line)
         assert_table_intact()
 
     def test_str_lines_not_stored(self):
@@ -240,7 +247,7 @@ class TestAntigenMemo:
         for frame in (line, line.rstrip(b"\n")):
             with pytest.raises(ProtocolError, match=re.escape(error)):
                 decode(frame)
-            assert outcome(decode, frame) == outcome(wire._parse, frame)
+            assert session_outcome(frame) == outcome(decode, frame)
         assert_table_intact()
 
     def test_hostile_stream_keeps_memo_bounded(self):
@@ -254,7 +261,7 @@ class TestAntigenMemo:
                 f"ANTIGEN{rng.choice(seps)}{rng.choice(numbers)}"
                 f"{rng.choice(seps)}{rng.choice(labels)}{rng.choice(ends)}"
             ).encode("utf-8")
-            assert outcome(decode, line) == outcome(wire._parse, line)
+            assert session_outcome(line) == outcome(decode, line)
         assert_table_intact()
 
     @given(
@@ -266,8 +273,7 @@ class TestAntigenMemo:
     )
     def test_decode_matches_parse(self, number, label, sep, end):
         line = f"ANTIGEN{sep}{number}{sep}{label}{end}".encode("ascii")
-        assert outcome(decode, line) == outcome(wire._parse, line)
-        assert outcome(decode, line) == outcome(wire._parse, line)
+        assert session_outcome(line) == outcome(decode, line)
         assert_table_intact()
 
     def test_antigen_interned_for_every_valid_pair(self):
@@ -370,7 +376,9 @@ class TestServer:
         finally:
             sock.close()
 
-    def test_decode_called_once_per_frame(self, server, compartment, monkeypatch):
+    @staticmethod
+    def decode_calls(server, monkeypatch, frames) -> list[bytes]:
+        """The lines one session sending ``frames`` passes to the module-global decode."""
         calls = []
         real_decode = wire.decode
 
@@ -379,10 +387,6 @@ class TestServer:
             return real_decode(line)
 
         monkeypatch.setattr(wire, "decode", counting_decode)
-        frames = [
-            "HELLO 1 antigen,signal", "ANTIGEN 5 normal", "ANTIGEN 05 normal",
-            "SIGNAL cpu 0.5", "ANTIGEN 6 attack", "BYE",
-        ]
         sock = client_socket(server)
         try:
             send_lines(sock, *frames)
@@ -391,8 +395,34 @@ class TestServer:
         finally:
             sock.close()
         assert wait_until(lambda: not server._sessions)
-        assert calls == [frame.encode("ascii") for frame in frames]  # as split
+        return calls
+
+    def test_decode_skipped_only_for_canonical_antigen_in_role(self, server, compartment,
+                                                                 monkeypatch):
+        # decode is called once for every frame except a canonical ANTIGEN
+        # frame from an antigen-role session, which the session looks up in
+        # the frame table itself.
+        frames = [
+            "HELLO 1 antigen,signal", "ANTIGEN 5 normal", "ANTIGEN 05 normal",
+            "SIGNAL cpu 0.5", "ANTIGEN 6 attack", "BYE",
+        ]
+        calls = self.decode_calls(server, monkeypatch, frames)
+        assert calls == [b"HELLO 1 antigen,signal", b"ANTIGEN 05 normal",
+                         b"SIGNAL cpu 0.5", b"BYE"]  # as split
         assert compartment.antigen_added_total == 3
+
+    @pytest.mark.parametrize("frames, error", [
+        (["ANTIGEN 5 normal"], "ANTIGEN before HELLO"),
+        (["HELLO 1 signal", "ANTIGEN 5 normal"], "ANTIGEN from client without antigen role"),
+    ], ids=["before-hello", "signal-only"])
+    def test_canonical_antigen_outside_the_role_reaches_decode(
+        self, server, compartment, monkeypatch, caplog, frames, error
+    ):
+        calls = self.decode_calls(server, monkeypatch, frames)
+        assert calls == [frame.encode("ascii") for frame in frames]
+        assert compartment.antigen_added_total == 0
+        assert server.frames_rejected_total == 1
+        assert f"protocol error: {error}" in caplog.text
 
     def test_mixed_stream_keeps_order(self, server, compartment, monkeypatch):
         applied = []
@@ -738,9 +768,9 @@ class ScriptedConn:
         return self.unread.pop(0) if self.unread else b""
 
 
-def serve_pieces(pieces) -> tuple[TissueServer, ScriptedConn]:
+def serve_pieces(pieces, params=TissueParams()) -> tuple[TissueServer, ScriptedConn]:
     """Run one session that reads exactly ``pieces``, one per recv, on a fresh compartment."""
-    server = TissueServer(create_compartment(TissueParams(), seed=1), host="127.0.0.1")
+    server = TissueServer(create_compartment(params, seed=1), host="127.0.0.1")
     conn = ScriptedConn(pieces)
     server._serve_client(SimpleNamespace(conn=conn, address=("scripted", 0), roles=set()))
     return server, conn
@@ -839,6 +869,143 @@ class TestFraming:
         assert list(server.compartment._store) == [5]
         assert server.frames_rejected_total == 0
         assert conn.unread == [b" normal\n"]
+
+
+def reference_serve(compartment, pieces) -> tuple[str | None, int]:
+    """The session read loop with every frame through ``decode``, as it was
+    before sessions looked canonical ANTIGEN frames up themselves.
+
+    Returns the protocol error that ended the session, or None, and the
+    number of pieces read.
+    """
+    roles: set[str] = set()
+    pending = b""
+    reads = 0
+    try:
+        for chunk in pieces:
+            reads += 1
+            frames = (pending + chunk).split(b"\n")
+            pending = frames.pop()
+            for frame in frames:
+                if len(frame) >= MAX_FRAME_BYTES:
+                    raise ProtocolError(f"frame longer than {MAX_FRAME_BYTES} bytes")
+                message = decode(frame)
+                kind = message.kind
+                if kind is MessageKind.ANTIGEN and "antigen" in roles:
+                    compartment.add_antigen(message.number)
+                elif kind is MessageKind.HELLO:
+                    if roles:
+                        raise ProtocolError("duplicate HELLO")
+                    if message.version != PROTOCOL_VERSION:
+                        raise ProtocolError(f"unsupported protocol version {message.version}")
+                    roles = set(message.roles)
+                elif not roles:
+                    raise ProtocolError(f"{kind.value} before HELLO")
+                elif kind is MessageKind.ANTIGEN:
+                    raise ProtocolError("ANTIGEN from client without antigen role")
+                elif kind is MessageKind.SIGNAL:
+                    if "signal" not in roles:
+                        raise ProtocolError("SIGNAL from client without signal role")
+                    try:
+                        compartment.set_signal(message.name, message.value)
+                    except ValueError as exc:
+                        raise ProtocolError(str(exc)) from None
+                elif kind is MessageKind.RESPONSE:
+                    raise ProtocolError("RESPONSE flows server to client only")
+                else:
+                    return None, reads
+            if len(pending) >= MAX_FRAME_BYTES:
+                raise ProtocolError(f"frame longer than {MAX_FRAME_BYTES} bytes")
+        if pending:
+            raise ProtocolError(f"frame cut off at disconnect: {pending!r}")
+    except ProtocolError as exc:
+        return str(exc), reads
+    return None, reads
+
+
+class ProtocolErrors(logging.Handler):
+    """Collects the protocol errors ``aisd.wire`` logs while it is attached."""
+
+    def __init__(self):
+        super().__init__(logging.WARNING)
+        self.errors: list[str] = []
+
+    def emit(self, record):
+        self.errors.append(record.getMessage().partition("protocol error: ")[2])
+
+    def __enter__(self):
+        wire.logger.addHandler(self)
+        return self
+
+    def __exit__(self, *exc_info):
+        wire.logger.removeHandler(self)
+
+
+ROLE_SETS = [  # the empty one makes a HELLO that decode rejects
+    roles for n in range(4) for roles in itertools.combinations(sorted(wire.VALID_ROLES), n)
+]
+
+# a session's first HELLO: none, any role set, and most often both input roles
+FIRST_ROLES = st.sampled_from([None, *ROLE_SETS, *[("antigen", "signal")] * 4])
+
+
+def hello(roles) -> bytes:
+    return f"HELLO 1 {','.join(roles)}".encode()
+
+SESSION_FRAMES = st.one_of(
+    # canonical ANTIGEN and valid SIGNAL frames, weighted up so that sessions
+    # run long enough to fill the store
+    *[VALID_FRAMES.map(str.encode)] * 6,
+    st.one_of(
+        st.sampled_from([  # non-canonical spellings that decode accepts or rejects
+            line.rstrip(b"\n") for line in NON_CANONICAL if isinstance(line, bytes)
+        ]),
+        st.sampled_from(ROLE_SETS).map(hello),
+        st.sampled_from([
+            b"HELLO 2 antigen", b"ANTIGEN 512 normal", b"ANTIGEN 5 hostile", b"ANTIGEN 5",
+            b"SIGNAL cpu nan", b"SIGNAL cpu 1.5", b"SIGNAL mem 0.5", b"RESPONSE 5 1 0.5",
+            b"NONSENSE", b"", b"\xff\xfe garbage", b"A" * (2 * MAX_FRAME_BYTES),
+            padded_antigen(MAX_FRAME_BYTES - 1), padded_antigen(MAX_FRAME_BYTES),
+        ]),
+        st.just(b"BYE"),
+    ),
+)
+
+
+class TestSessionDifferential:
+    """The session's read loop against the reference loop that decodes every frame."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        FIRST_ROLES,
+        st.integers(min_value=0, max_value=60).flatmap(  # lengths spread evenly
+            lambda n: st.lists(SESSION_FRAMES, min_size=n, max_size=n)
+        ),
+        st.booleans(),
+        st.lists(st.integers(min_value=1, max_value=600), min_size=1, max_size=20),
+    )
+    def test_session_matches_decode_every_frame(self, roles, frames, last_newline, sizes):
+        if roles is not None:
+            frames = [hello(roles), *frames]
+        stream = b"\n".join(frames) + (b"\n" if last_newline else b"")
+        pieces, start = [], 0
+        while start < len(stream):
+            size = sizes[len(pieces) % len(sizes)]
+            pieces.append(stream[start:start + size])
+            start += size
+        params = TissueParams(antigen_capacity=4)  # so some frames drop the oldest
+        with ProtocolErrors() as logged:
+            server, conn = serve_pieces(pieces, params)
+        reference = create_compartment(params, seed=1)
+        error, reads = reference_serve(reference, pieces)
+        session = server.compartment
+        assert list(session._store) == list(reference._store)
+        assert session.antigen_added_total == reference.antigen_added_total
+        assert session.antigen_dropped_total == reference.antigen_dropped_total
+        assert session.get_signal("cpu") == reference.get_signal("cpu")
+        assert server.frames_rejected_total == (error is not None)
+        assert logged.errors == ([] if error is None else [error])
+        assert len(pieces) - len(conn.unread) == reads
 
 
 class TestPacer:

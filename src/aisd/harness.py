@@ -289,7 +289,7 @@ def offline_cycles(
     cycle k; after the last record the compartment keeps cycling for the
     tail period.  Each window's signal samples are set in order, then its
     syscall events added with one ``add_events`` call, which leaves the
-    store as one ``add_antigen`` per event would.
+    store as one ``add_antigen`` per event would once they are admitted.
 
     After each window, the cycles before which no event is due are offered
     to ``Compartment.idle_stretch``, and the signals due inside a stretch it

@@ -15,16 +15,20 @@ them to ``cycle_count`` and ``idle_cycles_total``; its RNG stream is the one
 those cycles would draw, draw for draw (see ``twocell``).
 
 External writers (wire sessions) may add antigen and set signals
-concurrently with a cycling thread; individual writes are atomic and become
-visible no later than the start of the next cycle.  The store holds syscall
-numbers only (an event's label is ground truth, for the evaluation alone):
-``add_antigen`` adds one (a wire frame's), ``add_events`` a batch, such as an
-offline run's window of events between two cycles, in one locked
-``deque.extend``.  Both count the antigen they add and the oldest antigen the
-bounded store drops to make room.  ``add_antigen`` runs once per wire frame,
-so it takes the lock with ``acquire``/``release`` in a ``try`` rather than a
-``with`` block, which costs more on an ``RLock``; every other method uses
-``with``.
+concurrently with a cycling thread.  The store holds syscall numbers only
+(an event's label is ground truth, for the evaluation alone): ``add_events``
+adds a batch, such as an offline run's window of events between two cycles,
+in one locked ``deque.extend``; ``add_antigen`` hands one in (a wire
+frame's) without the lock, by appending it to an inbox.  The inbox is
+admitted into the store, in order and under the lock, first thing in
+``cycle``, ``idle_stretch`` and ``add_events``, and in every read of the
+store's size or its antigen totals, so a frame handed in mid-cycle waits
+for the next cycle; ``draw_antigen`` never admits.  When the inbox holds
+more than ``antigen_capacity`` antigen, the writer admits it itself if the
+lock is free, so memory stays bounded when nothing cycles and a writer
+never waits for a cycle.  Admission counts the antigen it adds and the
+oldest antigen the bounded store drops to make room, as ``add_events``
+does.  Signals are set under the lock.
 
 Run totals on the compartment: antigen added and dropped, signals set and
 clamped into [0, 1], idle cycles, Type 2 lock resets, and the antigen
@@ -41,7 +45,8 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import repeat, starmap
+from typing import Callable, Iterable, Sequence
 
 from . import twocell
 from .trace_model import SYSCALL_RANGE, check_finite, syscall_name
@@ -87,8 +92,8 @@ class Compartment:
         self.rng = random.Random(seed)
         self.cycle_count = 0
         self.response_log: list[ResponseRecord] = []
-        self.antigen_added_total = 0
-        self.antigen_dropped_total = 0
+        self._antigen_added_total = 0
+        self._antigen_dropped_total = 0
         self.signals_set_total = 0
         self.signals_clamped_total = 0
         self.idle_cycles_total = 0
@@ -98,6 +103,9 @@ class Compartment:
         self.twocell: twocell.TwoCellState | None = None
         # bounded store: at capacity, append drops the oldest antigen
         self._store: deque[int] = deque(maxlen=params.antigen_capacity)
+        # handed in by add_antigen, not yet admitted: writers append at the
+        # right while _admit pops at the left, under the lock
+        self._inbox: deque[int] = deque()
         self._signals: dict[str, float] = {name: 0.0 for name in params.signals}
         # called with each response as it is emitted, such as a server's forwarder
         self.response_listener: Callable[[ResponseRecord], None] | None = None
@@ -118,32 +126,49 @@ class Compartment:
     # -- external inputs ---------------------------------------------------
 
     def add_antigen(self, value: int) -> None:
+        """Hand one syscall number in, without waiting for the lock."""
+        if type(value) is not int:
+            raise ValueError(f"antigen value {value!r} is not an int")
         if not 0 <= value < SYSCALL_RANGE:
             raise ValueError(f"antigen value {value} outside [0, {SYSCALL_RANGE})")
-        # once per wire frame: acquire/release cost less than a with block
-        self._lock.acquire()
-        try:
-            store = self._store
-            if len(store) == self.params.antigen_capacity:
-                self.antigen_dropped_total += 1
-            store.append(value)
-            self.antigen_added_total += 1
-        finally:
-            self._lock.release()
+        inbox = self._inbox
+        inbox.append(value)
+        if len(inbox) > self.params.antigen_capacity and self._lock.acquire(False):
+            try:
+                self._admit()
+            finally:
+                self._lock.release()
 
     def add_events(self, numbers: Sequence[int]) -> None:
-        """Add each syscall number as antigen, in order.
+        """Add each syscall number as antigen, in order, after the inbox.
 
-        The same store state and counters as one ``add_antigen`` per number:
-        at capacity the oldest antigen is dropped for each one added.  The
-        numbers come from a validated replay log and are not checked again.
+        The same store state and counters as one ``add_antigen`` per number
+        and an admission: at capacity the oldest antigen is dropped for each
+        one added.  The numbers come from a validated replay log and are not
+        checked again.
         """
         with self._lock:
-            store = self._store
-            held = len(store) + len(numbers)  # were nothing dropped
-            store.extend(numbers)
-            self.antigen_added_total += len(numbers)
-            self.antigen_dropped_total += held - len(store)
+            self._admit()
+            self._extend(numbers, len(numbers))
+
+    def _admit(self) -> None:
+        """Move the antigen in the inbox into the store; the lock is held.
+
+        Exactly the antigen present when it starts move, in order: what a
+        writer appends meanwhile waits for the next admission.
+        """
+        inbox = self._inbox
+        n = len(inbox)
+        if n:
+            self._extend(starmap(inbox.popleft, repeat((), n)), n)
+
+    def _extend(self, numbers: Iterable[int], n: int) -> None:
+        """Add ``n`` numbers to the store and count them; the lock is held."""
+        store = self._store
+        held = len(store) + n  # were nothing dropped
+        store.extend(numbers)
+        self._antigen_added_total += n
+        self._antigen_dropped_total += held - len(store)
 
     def set_signal(self, name: str, level: float) -> None:
         if name not in self._signals:
@@ -163,7 +188,21 @@ class Compartment:
         return self._signals[name]
 
     def antigen_count(self) -> int:
-        return len(self._store)
+        with self._lock:
+            self._admit()
+            return len(self._store)
+
+    @property
+    def antigen_added_total(self) -> int:
+        with self._lock:
+            self._admit()
+            return self._antigen_added_total
+
+    @property
+    def antigen_dropped_total(self) -> int:
+        with self._lock:
+            self._admit()
+            return self._antigen_dropped_total
 
     # -- cycle-internal operations (called by the cell cycle functions) ----
 
@@ -189,6 +228,7 @@ class Compartment:
     def cycle(self) -> CycleReport:
         """Run every cell once, in a freshly shuffled order."""
         with self._lock:
+            self._admit()
             self.cycle_count += 1
             stored = len(self._store)
             logged = len(self.response_log)
@@ -205,6 +245,7 @@ class Compartment:
         ``twocell.idle_stretch``; return how many were stepped (0 when the
         population is busy, a reset is due, or there is no population)."""
         with self._lock:
+            self._admit()
             if self.twocell is None:
                 return 0
             stepped = twocell.idle_stretch(self, limit)

@@ -303,7 +303,10 @@ class TissueServer:
     module-global ``decode`` and is checked against the session's state there
     too.  A session reads ``compartment.add_antigen`` once, when it starts: a
     wrapper installed before the server starts is seen, one rebound while a
-    session is live is not.  If ``cycles_per_second`` is
+    session is live is not.  ``add_antigen`` hands the number to the
+    compartment's inbox, so a session never waits for the compartment lock to
+    add antigen, even beside a pacer that cycles back to back; a ``SIGNAL``
+    frame still takes the lock in ``set_signal``.  If ``cycles_per_second`` is
     given (finite and > 0), a pacer thread cycles the compartment while the
     server runs; when a cycle overruns, the pacer does not catch up, and
     counts the whole intervals it missed in ``cycles_skipped_total``.

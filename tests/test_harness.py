@@ -978,6 +978,7 @@ def test_ground_truth_never_reaches_the_detector(bundled_logs):
 
 
 def snapshot(compartment) -> tuple:
+    compartment.antigen_count()  # admit what add_antigen handed in
     return (list(compartment._store), compartment.get_signal("cpu"),
             compartment.antigen_added_total, compartment.signals_set_total)
 
@@ -1093,8 +1094,8 @@ def driven_state(compartment) -> dict:
                        tuple(map(tuple, state.locks)), tuple(state.matches),
                        tuple(state.ages), state.live),
         "rng": compartment.rng.getstate(),
-        "totals": {name: value for name, value in vars(compartment).items()
-                   if name.endswith("_total")},
+        "totals": {name: getattr(compartment, name) for name in dir(compartment)
+                   if name.endswith("_total") and not name.startswith("_")},
         "responses": tuple(compartment.response_log),
     }
 

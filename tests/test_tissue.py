@@ -4,12 +4,17 @@ import math
 import random
 import sys
 import threading
+import time
+from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import aisd.twocell
 from aisd.harness import load_params_file
 from aisd.tissue import (
+    Compartment,
     TissueParams,
     create_compartment,
     format_response_csv,
@@ -77,6 +82,7 @@ class TestInputs:
         comp.add_antigen(SYSCALL_RANGE - 1)
         with pytest.raises(ValueError, match=r"outside \[0, 512\)"):
             comp.add_antigen(value)
+        comp.antigen_count()  # admit what add_antigen handed in
         assert list(comp._store) == [0, SYSCALL_RANGE - 1]
         assert (comp.antigen_added_total, comp.antigen_dropped_total) == (2, 0)
 
@@ -131,6 +137,7 @@ class TestInputs:
                 one_by_one.add_antigen(number)
             batched.add_events(numbers[start:end])
             start = end
+            one_by_one.antigen_count()  # admit what add_antigen handed in
             assert list(batched._store) == list(one_by_one._store)
             assert batched.antigen_added_total == one_by_one.antigen_added_total
             assert batched.antigen_dropped_total == one_by_one.antigen_dropped_total
@@ -207,6 +214,224 @@ class TestInputs:
         taker.start()
         taker.join(timeout=5)
         assert taken == [True]
+
+    @pytest.mark.parametrize("value", [5.0, True, False, 5.5, "5", None])
+    def test_non_int_antigen_rejected(self, value):
+        # 5.5 can match no lock, and 5.0 or True would match lock 5 and
+        # reach responses.csv as 5.0 or True
+        comp = create_compartment(seed=1)
+        comp.add_antigen(5)
+        with pytest.raises(ValueError, match=rf"antigen value {value!r} is not an int"):
+            comp.add_antigen(value)
+        assert comp.antigen_count() == 1
+        assert list(comp._store) == [5]
+        assert (comp.antigen_added_total, comp.antigen_dropped_total) == (1, 0)
+
+    def test_writers_finish_beside_a_cycler_that_never_waits(self):
+        # a cycler that takes the lock back to back once starved writers
+        # that waited for it (40-62 s); handing antigen in takes no lock
+        comp = create_compartment(TissueParams(antigen_capacity=8), seed=1)
+        attach_twocell(comp, TwocellParams())
+        adds_per_writer = 20_000
+        done = threading.Event()
+
+        def write(offset):
+            for k in range(adds_per_writer):
+                comp.add_antigen((offset + k) % SYSCALL_RANGE)
+
+        def cycle():
+            while not done.is_set():
+                comp.cycle()
+
+        writers = [threading.Thread(target=write, args=(n * 100,)) for n in range(2)]
+        cycler = threading.Thread(target=cycle)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            cycler.start()
+            start = time.monotonic()
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+            elapsed = time.monotonic() - start
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        cycler.join(timeout=60)
+        assert not cycler.is_alive()
+        assert not any(thread.is_alive() for thread in writers)
+        assert elapsed < 10.0
+        assert comp.antigen_added_total == 2 * adds_per_writer
+        assert comp.antigen_added_total == (
+            comp.antigen_dropped_total + comp.antigen_consumed_total + comp.antigen_count()
+        )
+
+    def test_writer_past_capacity_never_waits_for_a_held_lock(self):
+        capacity = 4
+        comp = create_compartment(TissueParams(antigen_capacity=capacity), seed=1)
+        held, release = threading.Event(), threading.Event()
+
+        def hold_lock():
+            with comp._lock:
+                held.set()
+                release.wait(timeout=30)
+
+        holder = threading.Thread(target=hold_lock)
+        holder.start()
+        assert held.wait(timeout=5)
+        values = list(range(capacity + 5))
+        writer = threading.Thread(target=lambda: [comp.add_antigen(v) for v in values])
+        try:
+            writer.start()
+            writer.join(timeout=5)
+            assert not writer.is_alive()  # returned while the lock was held
+            assert holder.is_alive()
+        finally:
+            release.set()
+            holder.join(timeout=5)
+        assert list(comp._store) == []  # nothing admitted while the lock was held
+        comp.cycle()
+        assert list(comp._store) == values[-capacity:]
+        assert comp.antigen_added_total == capacity + 5
+        assert comp.antigen_dropped_total == 5
+
+    def test_writer_takes_no_lock_within_capacity(self):
+        capacity = 6
+        comp = create_compartment(TissueParams(antigen_capacity=capacity), seed=1)
+        lock = comp._lock
+        acquirers = []
+
+        class RecordingLock:
+            def acquire(self, *args):
+                acquirers.append(threading.get_ident())
+                return lock.acquire(*args)
+
+            def release(self):
+                lock.release()
+
+            def __enter__(self):
+                self.acquire()
+
+            def __exit__(self, *exc):
+                self.release()
+
+        comp._lock = RecordingLock()
+
+        def write(n):
+            thread = threading.Thread(target=lambda: [comp.add_antigen(7) for _ in range(n)])
+            thread.start()
+            thread.join(timeout=5)
+            return thread.ident
+
+        writer = write(capacity)  # fills the inbox to capacity
+        comp.cycle()  # admits it
+        writer_again = write(capacity)
+        assert acquirers == [threading.get_ident()]
+        assert writer not in acquirers and writer_again not in acquirers
+        # one more than capacity: the writer admits the inbox itself
+        past = write(1)
+        assert acquirers[-1] == past
+        assert comp._inbox == deque()
+        assert comp.antigen_added_total == 2 * capacity + 1
+        assert comp.antigen_dropped_total == capacity + 1
+
+
+class LockedStoreCompartment(Compartment):
+    """A compartment whose ``add_antigen`` writes the store at once under
+    the lock, as it did before antigen went through an inbox."""
+
+    def add_antigen(self, value: int) -> None:
+        if not 0 <= value < SYSCALL_RANGE:
+            raise ValueError(f"antigen value {value} outside [0, {SYSCALL_RANGE})")
+        self._lock.acquire()
+        try:
+            store = self._store
+            if len(store) == self.params.antigen_capacity:
+                self._antigen_dropped_total += 1
+            store.append(value)
+            self._antigen_added_total += 1
+        finally:
+            self._lock.release()
+
+
+# an index into the run's pool of values (the Type 2 locks at attach, and
+# some no lock may match), or a value outside the syscall range
+ANTIGEN_VALUES = st.one_of(
+    st.integers(min_value=0, max_value=63),
+    st.sampled_from([-1, SYSCALL_RANGE, 10**6]),
+)
+INBOX_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.lists(ANTIGEN_VALUES, min_size=1, max_size=12)),
+        st.tuples(st.just("events"), st.lists(st.integers(min_value=0, max_value=63),
+                                              max_size=12)),
+        st.tuples(st.just("signal"), st.floats(min_value=-0.5, max_value=1.5)),
+        st.tuples(st.just("cycle"), st.integers(min_value=1, max_value=3)),
+        st.tuples(st.just("idle"), st.integers(min_value=0, max_value=40)),
+        st.tuples(st.just("count")),
+    ),
+    max_size=40,
+)
+
+
+class TestInboxDifferential:
+    """A compartment whose antigen waits in the inbox behaves, at every
+    cycle boundary, as one whose ``add_antigen`` writes the store at once."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=3), INBOX_OPS)
+    def test_inbox_matches_a_store_written_at_once(self, capacity, seed, ops):
+        tissue = TissueParams(antigen_capacity=capacity)
+        # few draws per cycle, so the store's order shows in what is left
+        cells = TwocellParams(n_type1=2, n_type2=4, antigen_receptors_per_t1=1,
+                              antigen_producers_per_t1=2, cell_lifespan=6,
+                              min_presentation=1, max_presentation=4)
+        comp = Compartment(tissue, seed)
+        ref = LockedStoreCompartment(tissue, seed)
+        for compartment in (comp, ref):
+            attach_twocell(compartment, cells)
+        pool = sorted({lock for locks in comp.twocell.locks for lock in locks} | {0, 300})
+
+        def same_state():
+            assert not comp._inbox
+            assert list(comp._store) == list(ref._store)
+            for name in ("antigen_added_total", "antigen_dropped_total", "signals_set_total",
+                         "signals_clamped_total", "idle_cycles_total", "type2_resets_total",
+                         "antigen_consumed_total", "responses_total", "cycle_count"):
+                assert getattr(comp, name) == getattr(ref, name), name
+            assert comp.rng.getstate() == ref.rng.getstate()
+            assert comp.response_log == ref.response_log
+            for name in ("keys", "timers", "locks", "ages", "matches", "live"):
+                assert getattr(comp.twocell, name) == getattr(ref.twocell, name), name
+
+        for op, *args in ops:
+            if op == "add":
+                values = [pool[v % len(pool)] if 0 <= v < 64 else v for v in args[0]]
+                for compartment in (comp, ref):
+                    for value in values:
+                        if 0 <= value < SYSCALL_RANGE:
+                            compartment.add_antigen(value)
+                        else:
+                            with pytest.raises(ValueError, match="outside"):
+                                compartment.add_antigen(value)
+            elif op == "events":
+                comp.add_events(args[0])
+                ref.add_events(args[0])
+            elif op == "signal":
+                comp.set_signal("cpu", args[0])
+                ref.set_signal("cpu", args[0])
+            elif op == "cycle":
+                for _ in range(args[0]):
+                    assert comp.cycle() == ref.cycle()
+                    same_state()
+            elif op == "idle":
+                assert comp.idle_stretch(args[0]) == ref.idle_stretch(args[0])
+                same_state()
+            else:
+                assert comp.antigen_count() == ref.antigen_count()
+        assert comp.cycle() == ref.cycle()
+        same_state()
 
 
 class TestPopulate:
@@ -351,8 +576,7 @@ class TestRandomStream:
     def test_draw_antigen_equals_randrange(self, size):
         comp = create_compartment(seed=size)
         store = [value % SYSCALL_RANGE for value in range(size)]
-        for value in store:
-            comp.add_antigen(value)
+        comp.add_events(store)
         expected = random.Random()
         expected.setstate(comp.rng.getstate())
         while store:

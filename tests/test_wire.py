@@ -452,6 +452,7 @@ class TestServer:
             sock.close()
         assert wait_until(lambda: not server._sessions)
         assert applied == [5, 5, ("cpu", 0.25), 5, 7, ("cpu", 0.75), 5]
+        compartment.antigen_count()  # admit what the session handed in
         assert list(compartment._store) == [5, 5, 5, 7, 5]
         assert compartment.get_signal("cpu") == 0.75
         assert server.frames_rejected_total == 0
@@ -465,6 +466,7 @@ class TestServer:
             )
             sock.settimeout(5)
             assert sock.recv(64) == b""
+            compartment.antigen_count()  # admit what the session handed in
             assert list(compartment._store) == [5, 6]
             assert compartment.antigen_added_total == 2
             assert server.frames_rejected_total == 1
@@ -482,6 +484,7 @@ class TestServer:
         finally:
             sock.close()
         assert wait_until(lambda: not server._sessions)
+        compartment.antigen_count()  # admit what the session handed in
         assert list(compartment._store) == [5, 6, 7]
         for _ in range(3):  # the cycles present what the session stored
             assert holds_numbers_only(compartment)
@@ -824,6 +827,7 @@ class TestFraming:
         for server in (cut, whole):
             assert server.frames_rejected_total == 0
         cut, whole = cut.compartment, whole.compartment
+        cut.antigen_count(), whole.antigen_count()  # admit what the sessions handed in
         assert list(cut._store) == list(whole._store)
         assert cut.antigen_added_total == whole.antigen_added_total
         assert cut.get_signal("cpu") == whole.get_signal("cpu")
@@ -858,6 +862,7 @@ class TestFraming:
 
     def test_hello_and_antigen_in_one_read(self):
         server, _ = serve_pieces([b"HELLO 1 antigen\nANTIGEN 5 normal\nANTIGEN 6 attack\n"])
+        server.compartment.antigen_count()  # admit what the session handed in
         assert list(server.compartment._store) == [5, 6]
         assert server.frames_rejected_total == 0
 
@@ -866,6 +871,7 @@ class TestFraming:
             b"HELLO 1 antigen\nANTIGEN 5 normal\nBYE\nANTIGEN 6 normal\nNONSENSE\nANTIGEN 7",
             b" normal\n",
         ])
+        server.compartment.antigen_count()  # admit what the session handed in
         assert list(server.compartment._store) == [5]
         assert server.frames_rejected_total == 0
         assert conn.unread == [b" normal\n"]
@@ -999,6 +1005,7 @@ class TestSessionDifferential:
         reference = create_compartment(params, seed=1)
         error, reads = reference_serve(reference, pieces)
         session = server.compartment
+        session.antigen_count(), reference.antigen_count()  # admit what was handed in
         assert list(session._store) == list(reference._store)
         assert session.antigen_added_total == reference.antigen_added_total
         assert session.antigen_dropped_total == reference.antigen_dropped_total

@@ -12,6 +12,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from collections.abc import Callable
@@ -25,7 +26,7 @@ from .scenarios import BUNDLED_PROFILES, synthesize_scenario
 from .tissue import TissueParams, create_compartment
 from .trace_model import dataset_stats, read_replay_log, write_replay_log
 from .twocell import TwocellParams, attach_twocell
-from .wire import DEFAULT_HOST, ReplayConfig, TissueServer, default_port, replay
+from .wire import DEFAULT_HOST, ReplayConfig, ReplayError, TissueServer, default_port, replay
 
 PORT_HELP = "default: the AISD_PORT environment variable, else 7004"
 
@@ -33,19 +34,29 @@ T = TypeVar("T")
 
 
 class InputFileError(Exception):
-    """An input file named on the command line is missing or malformed; the
-    message starts with its path."""
+    """An input named on the command line is bad: a file that is missing,
+    malformed or cannot be written, whose path starts the message, or an
+    option value that the program's own checks reject."""
 
 
-def _read(reader: Callable[[str], T], path: str) -> T:
-    """``reader(path)``, with an unreadable or malformed file raised as an
-    ``InputFileError`` that names it."""
+def _read(use: Callable[[str], T], path: str) -> T:
+    """``use(path)``, with a file that cannot be read or written, or is
+    malformed, raised as an ``InputFileError`` that names it."""
     try:
-        return reader(path)
+        return use(path)
     except OSError as exc:
         raise InputFileError(f"{path}: {exc.strerror or exc}") from None
     except ValueError as exc:
         raise InputFileError(f"{path}: {exc}") from None
+
+
+def _checked(make: Callable[[], T]) -> T:
+    """``make()``, with an option value that its checks reject raised as an
+    ``InputFileError`` in the words of the check."""
+    try:
+        return make()
+    except ValueError as exc:
+        raise InputFileError(str(exc)) from None
 
 
 def _add_replay_args(parser: argparse.ArgumentParser) -> None:
@@ -74,7 +85,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     if args.seed is not None:
         profile = replace(profile, seed=args.seed)
     log = synthesize_scenario(profile)
-    write_replay_log(log, args.out)
+    _read(partial(write_replay_log, log), args.out)
     stats = dataset_stats(log)
     print(f"{profile.name} {stats.total_time} {stats.total_antigen} {stats.max_antigen_rate} -> {args.out}")
     return 0
@@ -96,11 +107,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     seed = extras.get("seed", 0) if args.seed is None else args.seed
     compartment = create_compartment(tissue_params, seed)
     attach_twocell(compartment, twocell_params)
-    server = TissueServer(
+    server = _checked(lambda: TissueServer(
         compartment, host=args.host, port=_port(args),
         cycles_per_second=tissue_params.cycles_per_second,
-    )
-    server.start()
+    ))
+    try:
+        server.start()
+    except OSError as exc:
+        print(f"aisd serve: {server.host}:{server.port}: {exc.strerror or exc}", file=sys.stderr)
+        return 1
     print(f"serving on {server.host}:{server.port} (Ctrl-C to stop)")
     try:
         while True:
@@ -115,10 +130,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_replay(args: argparse.Namespace) -> int:
     log = _read(read_replay_log, args.log)
-    config = ReplayConfig(
+    config = _checked(lambda: ReplayConfig(
         host=args.host, port=_port(args), rate_multiplier=args.rate,
         start_delay=args.start_delay, tail_time=args.tail,
-    )
+    ))
     summary = replay(log, config)
     print(
         f"sent {summary.sent_antigen} antigen, {summary.sent_signals} signals "
@@ -130,6 +145,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 def _cmd_experiment(args: argparse.Namespace) -> int:
     plan = _read(read_plan, args.plan)
     params = _read(load_params_file, plan.params_file)[:2] if plan.params_file else ()
+    _read(partial(os.makedirs, exist_ok=True), args.out)  # before the first run, not hours after
     runner = run_offline if args.offline else run_experiment
     result = runner(plan, args.out, *params)
     failed = sum(1 for r in result.runs if r.failed)
@@ -196,13 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run(prog: str, command: Callable[[argparse.Namespace], int], args: argparse.Namespace) -> int:
-    """``command(args)``'s exit status, or 2 after a bad input file is
-    reported on stderr as ``<prog>: <path>: <message>``."""
+    """``command(args)``'s exit status; else, reported on stderr as
+    ``<prog>: <message>``, 2 after a bad input (a file's message starts with
+    its path) and 1 after a failed replay connection."""
     try:
         return command(args)
-    except InputFileError as exc:
+    except (InputFileError, ReplayError) as exc:
         print(f"{prog}: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, InputFileError) else 1
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -477,12 +477,13 @@ def _write_experiment_artifacts(result: ExperimentResult) -> None:
     out.mkdir(parents=True, exist_ok=True)
     for run in result.runs:
         _write_run_dir(out, run)
-    if result.naive is not None:
-        write_policy(result.naive, out / "naive-policy.txt")
-    if result.average is not None:
-        write_policy(result.average, out / "average-policy.txt")
-    if result.reference is not None:
-        write_policy(result.reference, out / "twocell-policy.txt")
+    for policy, name in (
+        (result.naive, "naive-policy.txt"),
+        (result.average, "average-policy.txt"),
+        (result.reference, "twocell-policy.txt"),
+    ):
+        if policy is not None:
+            write_policy(policy, out / name)
     (out / "report.txt").write_text(format_report(result), encoding="utf-8")
     (out / "report.csv").write_text(
         format_evaluation_csv(result.evaluations), encoding="utf-8"

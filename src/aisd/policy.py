@@ -236,57 +236,36 @@ def format_comparison_table(
     )
     col_width = max([9] + [len(d) for d in dataset_order]) + 1
 
+    # (row label, the rows by dataset, the EvaluationRow percent it prints)
+    rows = [
+        (f"{label} {kind}", by_dataset, f"{kind}_pct")
+        for label, by_dataset in evaluations.items()
+        for kind in ("permit", "deny")
+    ]
+    if evaluations:
+        first = next(iter(evaluations.values()))
+        rows[:0] = [(f"{kind} syscalls", first, f"{kind}_pct") for kind in ("normal", "attack")]
+
     def fmt_row(label: str, values: Iterable[str]) -> str:
         cells = "".join(f"{v:>{col_width}}" for v in values)
         return f"{label:<{label_width}}{cells}".rstrip()
 
-    lines = [fmt_row("dataset", dataset_order)]
-    if evaluations:
-        first = next(iter(evaluations.values()))
-        lines.append(
-            fmt_row(
-                "normal syscalls",
-                [f"{first[d].normal_pct}%" if d in first else "-" for d in dataset_order],
-            )
-        )
-        lines.append(
-            fmt_row(
-                "attack syscalls",
-                [f"{first[d].attack_pct}%" if d in first else "-" for d in dataset_order],
-            )
-        )
-    for label, rows in evaluations.items():
-        lines.append(
-            fmt_row(
-                f"{label} permit",
-                [f"{rows[d].permit_pct}%" if d in rows else "-" for d in dataset_order],
-            )
-        )
-        lines.append(
-            fmt_row(
-                f"{label} deny",
-                [f"{rows[d].deny_pct}%" if d in rows else "-" for d in dataset_order],
-            )
-        )
+    lines = [fmt_row("dataset", dataset_order)] + [
+        fmt_row(label, [f"{getattr(by[d], pct)}%" if d in by else "-" for d in dataset_order])
+        for label, by, pct in rows
+    ]
     return "\n".join(lines) + "\n"
 
 
 def format_evaluation_csv(
     evaluations: Mapping[str, Mapping[str, EvaluationRow]]
 ) -> str:
+    columns = ("total", "normal_count", "attack_count", "permit_count", "deny_count",
+               "normal_pct", "attack_pct", "permit_pct", "deny_pct")
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(
-        ["policy", "dataset", "total", "normal_count", "attack_count",
-         "permit_count", "deny_count", "normal_pct", "attack_pct",
-         "permit_pct", "deny_pct"]
-    )
+    writer.writerow(("policy", "dataset") + columns)
     for label, rows in evaluations.items():
-        for dataset in rows:
-            r = rows[dataset]
-            writer.writerow(
-                [label, dataset, r.total, r.normal_count, r.attack_count,
-                 r.permit_count, r.deny_count, r.normal_pct, r.attack_pct,
-                 r.permit_pct, r.deny_pct]
-            )
+        for dataset, row in rows.items():
+            writer.writerow([label, dataset] + [getattr(row, c) for c in columns])
     return out.getvalue()

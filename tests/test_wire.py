@@ -1093,13 +1093,13 @@ class TestReplay:
                  "--host", "127.0.0.1", "--port", str(port), "--rate", "100"],
                 capture_output=True, text=True, env=env, timeout=60,
             )
-            assert result.returncode != 0
-            assert f"port must be in 0..65535, got {port}" in result.stderr
+            assert result.returncode == 2
+            assert result.stderr == f"aisd replay: port must be in 0..65535, got {port}\n"
             listener.setblocking(False)
             with pytest.raises(BlockingIOError):
                 listener.accept()  # nobody connected
 
-    def test_cli_rejects_nan_rate_before_sending(self, tmp_path):
+    def test_cli_rejects_nan_rate_before_sending(self, tmp_path, capsys):
         from aisd import cli
 
         path = tmp_path / "pacing.tcr"
@@ -1108,8 +1108,10 @@ class TestReplay:
             listener.bind(("127.0.0.1", 0))
             listener.listen(1)
             port = listener.getsockname()[1]
-            with pytest.raises(ValueError, match="^rate_multiplier must be finite and > 0, got nan$"):
-                cli.main(["replay", "--log", str(path), "--rate", "nan", "--port", str(port)])
+            assert cli.main(["replay", "--log", str(path), "--rate", "nan", "--port", str(port)]) == 2
+            assert capsys.readouterr().err == (
+                "aisd replay: rate_multiplier must be finite and > 0, got nan\n"
+            )
             listener.setblocking(False)
             with pytest.raises(BlockingIOError):
                 listener.accept()  # nobody connected
@@ -1137,11 +1139,14 @@ class TestReplay:
         for args in (
             ("-m", "aisd.cli", "serve"),
             ("-m", "aisd.cli", "replay", "--log", str(path)),
-            ("-c", "from aisd.cli import tcreplay_main; tcreplay_main()", "--log", str(path)),
+            # as the tcreplay console script calls it
+            ("-c", "from aisd.cli import tcreplay_main; raise SystemExit(tcreplay_main())",
+             "--log", str(path)),
         ):
             result = run(*args)
-            assert result.returncode != 0
-            assert error in result.stderr
+            assert result.returncode == 2
+            assert result.stderr.endswith(f": {error}\n")
+            assert "Traceback" not in result.stderr
             assert "serving on" not in result.stdout
 
     @pytest.mark.parametrize(
